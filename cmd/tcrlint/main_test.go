@@ -85,6 +85,29 @@ func TestRunCleanModule(t *testing.T) {
 	}
 }
 
+// TestRunSkipsNestedModule: like the go command, "./..." stops at a nested
+// directory carrying its own go.mod — that is another module — while the
+// same dirty source in a plain subdirectory is still linted.
+func TestRunSkipsNestedModule(t *testing.T) {
+	chdirModule(t, map[string]string{
+		"go.mod":            "module example.test\n\ngo 1.22\n",
+		"pkg/ok.go":         "package pkg\n",
+		"nested/go.mod":     "module example.test/nested\n\ngo 1.22\n",
+		"nested/pkg/pkg.go": dirtyModule,
+	})
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, want 0 (nested module skipped)\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+	if err := os.WriteFile("pkg/pkg.go", []byte(dirtyModule), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1 (finding in the module's own package)\nstdout: %s", code, stdout.String())
+	}
+}
+
 func TestRunTestsFlagExtendsCorpus(t *testing.T) {
 	chdirModule(t, map[string]string{
 		"go.mod":     "module example.test\n\ngo 1.22\n",

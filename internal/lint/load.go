@@ -116,6 +116,13 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 			if path != abs && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 				return filepath.SkipDir
 			}
+			if path != abs {
+				// A directory with its own go.mod is a separate module,
+				// outside this one's "./..." exactly as for the go command.
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			addDir(filepath.Clean(path))
 			return nil
 		})

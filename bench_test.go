@@ -162,6 +162,32 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignWcopt times a certified worst-case-optimal design end to
+// end (model build, every cutting-plane round, the final exact evaluation)
+// and reports the simplex work behind it: dual and primal pivots and basis
+// refactorizations per certified design.
+func BenchmarkDesignWcopt(b *testing.B) {
+	for _, k := range []int{6} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			t := topo.NewTorus(k)
+			var pivots, refacs int
+			for i := 0; i < b.N; i++ {
+				res, err := design.WorstCaseOptimal(t, design.Options{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Certified {
+					b.Fatalf("k=%d: uncertified: %s", k, res.Reason)
+				}
+				pivots += res.Iterations
+				refacs += res.Refactorizations
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(refacs)/float64(b.N), "refactorizations/op")
+		})
+	}
+}
+
 // BenchmarkAblationCutsPermutations compares the pure permutation-cut
 // strategy against the default potential formulation (see
 // BenchmarkAblationCutsPotentials) on the same k=3 worst-case problem.

@@ -98,6 +98,7 @@ func (a *AvgCaseLP) SolveCtx(ctx context.Context) (*Result, error) {
 		}
 		res.Rounds = round + 1
 		res.Iterations += sol.Iterations
+		res.Refactorizations += sol.Diag.Refactorizations
 		flow := p.unfold(sol.X)
 		err = p.separate(ctx, func() error {
 			return par.Do(ctx, len(a.samples), p.opts.Workers, func(i int) error {

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"context"
 	"fmt"
 
 	"tcr/internal/lp"
@@ -21,7 +22,7 @@ func Capacity(t topo.Topology, opts Options) (*Result, error) {
 	tol := opts.tol()
 	res := &Result{}
 	for round := 0; round < opts.rounds(); round++ {
-		sol, err := p.solver.Solve()
+		sol, err := p.solveRound(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -30,6 +31,7 @@ func Capacity(t topo.Topology, opts Options) (*Result, error) {
 		}
 		res.Rounds = round + 1
 		res.Iterations += sol.Iterations
+		res.Refactorizations += sol.Diag.Refactorizations
 		flow := p.unfold(sol.X)
 		loads := flow.ChannelLoads(u)
 		worstC, worst := 0, 0.0

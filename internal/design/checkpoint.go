@@ -34,8 +34,10 @@ import (
 // formulation changes. ckpt-2 added the integrity hash field; ckpt-3
 // switched the stage-2 w cap from a cut row to a variable upper bound
 // (bounded simplex), which changes the basis dimension and adds the at-upper
-// nonbasic set to the serialized state.
-const checkpointVersion = "tcr-ckpt-3"
+// nonbasic set to the serialized state; ckpt-4 marks the switch of the warm
+// dual simplex to steepest-edge pricing on perturbed costs, under which a
+// saved basis and cut log replay a different trajectory.
+const checkpointVersion = "tcr-ckpt-4"
 
 // checkpoint is the on-disk resume state of a cut loop. SHA256 is the
 // integrity hash (store.HashBytes) of the checkpoint's own JSON encoding

@@ -141,6 +141,9 @@ func (p *FlowLP) solveRound(ctx context.Context) (*lp.Solution, error) {
 		}
 		sol, err := p.solver.SolveCtx(ctx)
 		if err == nil {
+			if p.opts.onSolve != nil {
+				p.opts.onSolve(sol.Diag)
+			}
 			return sol, nil
 		}
 		if !errors.Is(err, lp.ErrNumerical) {

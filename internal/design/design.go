@@ -154,6 +154,11 @@ type Options struct {
 	// loops write their final state to on certification (atomic write),
 	// for a later run to warm-start from via WarmFrom.
 	FinalSnapshot string
+
+	// onSolve, when set, receives the Diagnostics of every successful LP
+	// solve of a cutting-plane loop, in order. It lets tests hold the
+	// reported pivot totals against the solver's own per-solve counts.
+	onSolve func(lp.Diagnostics)
 }
 
 // ErrUncertified marks a design outcome whose budgets (rounds, iterations,
@@ -507,8 +512,13 @@ type Result struct {
 	HAvg, HNorm float64
 	// Rounds is the number of cutting-plane iterations used.
 	Rounds int
-	// Iterations is the total simplex pivot count.
+	// Iterations is the total simplex pivot count over every round's LP
+	// solve (carried across a checkpoint resume).
 	Iterations int
+	// Refactorizations is the total basis refactorization count over the
+	// round solves this call performed (a checkpoint resume starts it
+	// afresh).
+	Refactorizations int
 	// Certified reports that the separation oracle proved optimality
 	// within the round, pivot, and deadline budgets. When false the
 	// result is a graceful degradation: Flow is the best feasible routing
@@ -587,6 +597,7 @@ func (p *FlowLP) solveWorstCase(ctx context.Context) (*Result, error) {
 		last = sol
 		res.Rounds = round + 1
 		res.Iterations += sol.Iterations
+		res.Refactorizations += sol.Diag.Refactorizations
 		flow := p.unfold(sol.X)
 		w := sol.X[p.wVar]
 

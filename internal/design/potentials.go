@@ -261,6 +261,7 @@ func (q *potentialLP) solve(ctx context.Context, fixedBound float64) (*Result, e
 			return nil, fmt.Errorf("design: potential LP status %v at round %d", sol.Status, round)
 		}
 		cumIters += sol.Iterations
+		res.Refactorizations += sol.Diag.Refactorizations
 		res.Rounds, res.Iterations = round+1, cumIters
 		flow := p.unfold(sol.X)
 		bound := fixedBound
@@ -309,7 +310,6 @@ func (q *potentialLP) solve(ctx context.Context, fixedBound float64) (*Result, e
 		if certified {
 			res.Flow = flow
 			res.Objective = sol.Objective
-			res.Iterations = sol.Iterations
 			res.Certified = true
 			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
 			if err != nil {

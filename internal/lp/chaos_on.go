@@ -7,8 +7,8 @@ package lp
 // recovery ladder's rungs are exercised by tests rather than by luck: eta
 // updates receive relative noise (silent inverse drift), factorizations are
 // forced to fail (engine-aware, so the dense-fallback rung is reachable),
-// and Devex reference weights are corrupted (pricing chases the wrong
-// columns). All injection is a pure function of the script and the solve's
+// and Devex and dual steepest-edge weights are corrupted (pricing chases
+// the wrong columns or rows). All injection is a pure function of the script and the solve's
 // event sequence — same script, same faults.
 
 // devexCorruptWeight is the corrupted reference weight: far below the
@@ -30,8 +30,9 @@ type ChaosScript struct {
 	// eta vectors; EtaEvery selects every nth pivot (0 disables).
 	EtaNoise float64
 	EtaEvery int
-	// DevexEvery corrupts one Devex reference weight at every nth pricing
-	// framework reset (0 disables).
+	// DevexEvery corrupts one pricing weight at every nth framework reset
+	// (0 disables): a Devex reference weight when the primal resets its
+	// framework, a dual steepest-edge weight when the dual simplex does.
 	DevexEvery int
 }
 

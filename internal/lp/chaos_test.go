@@ -158,6 +158,49 @@ func TestChaosDevexCorruption(t *testing.T) {
 	}
 }
 
+// TestChaosDualWeightCorruption poisons one dual steepest-edge weight at
+// every dualInner entry across warm RHS re-solves. Like Devex, the weights
+// only steer pricing: each warm dual solve must still land on the clean
+// dense-engine optimum of the same LP.
+func TestChaosDualWeightCorruption(t *testing.T) {
+	m := randomBoundedLP(30, 40, 23)
+	clean := NewSolver(m)
+	clean.SetEngine(EngineDense)
+	s := NewSolver(m)
+	for _, x := range []*Solver{clean, s} {
+		if _, err := x.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SetChaos(&ChaosScript{Seed: 6, DevexEvery: 1})
+	warm := 0
+	for _, scale := range []float64{0.5, 0.3, 0.8} {
+		for i := 0; i < 30; i += 3 {
+			rhs := m.RHS(RowID(i)) * scale
+			clean.SetRHS(i, rhs)
+			s.SetRHS(i, rhs)
+		}
+		want, err := clean.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal || want.Status != Optimal {
+			t.Fatalf("status = %v, clean %v", sol.Status, want.Status)
+		}
+		if math.Abs(sol.Objective-want.Objective) > 1e-6*(1+math.Abs(want.Objective)) {
+			t.Errorf("objective = %g, clean = %g", sol.Objective, want.Objective)
+		}
+		warm += sol.Iterations
+	}
+	if warm == 0 {
+		t.Fatal("no warm pivots: the corrupted weights were never used")
+	}
+}
+
 // TestChaosDeterministic replays the same script twice and demands identical
 // diagnostics and results — the injection must be a pure function of the
 // script and the solve's event sequence.

@@ -31,6 +31,10 @@ type Diagnostics struct {
 	DualGap float64
 	// Iterations is the total pivot count across all attempts and phases.
 	Iterations int
+	// BlandPivots counts the pivots taken under Bland's lowest-index rule,
+	// the anti-cycling fallback of both simplex drivers (and the ladder's
+	// bland rung). A healthy solve takes none.
+	BlandPivots int
 	// Elapsed is the wall-clock duration of the solve.
 	Elapsed time.Duration
 	// EngineFallback reports that the ladder abandoned the sparse eta
@@ -74,6 +78,9 @@ func (d Diagnostics) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "attempts=%d refactorizations=%d iterations=%d elapsed=%s",
 		d.Attempts, d.Refactorizations, d.Iterations, d.Elapsed.Round(time.Microsecond))
+	if d.BlandPivots > 0 {
+		fmt.Fprintf(&b, " bland-pivots=%d", d.BlandPivots)
+	}
 	if len(d.Ladder) > 0 {
 		fmt.Fprintf(&b, " ladder=%s", strings.Join(d.Ladder, ","))
 	}

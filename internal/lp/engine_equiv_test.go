@@ -198,6 +198,119 @@ func TestEngineEquivCutLoop(t *testing.T) {
 	}
 }
 
+// TestEngineEquivDualSteepestEdge pits the engines against each other on
+// warm dual re-solves, where steepest-edge pricing and the dual cost
+// perturbation act: random covering-style LPs are driven through rounds of
+// RHS tightenings and violated cuts. Each round both engines must agree
+// (objective and duals), match a cold solve of the same LP, and take no
+// Bland pivots.
+func TestEngineEquivDualSteepestEdge(t *testing.T) {
+	trials := 40
+	if testing.Short() {
+		trials = 12
+	}
+	rng := rand.New(rand.NewSource(2718))
+	dualPivots, optRounds := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		n := 6 + rng.Intn(6)
+		type row struct {
+			terms []lp.Term
+			rhs   float64
+		}
+		var rows []row
+		for i := 0; i < 4+rng.Intn(4); i++ {
+			var terms []lp.Term
+			for j := 0; j < n; j++ {
+				if rng.Float64() < 0.5 {
+					terms = append(terms, lp.Term{Var: lp.VarID(j), Coef: -0.5 - rng.Float64()})
+				}
+			}
+			rows = append(rows, row{terms, 0})
+		}
+		costs := make([]float64, n)
+		for j := range costs {
+			costs[j] = 0.5 + rng.Float64()
+		}
+		build := func() (*lp.Model, []float64) {
+			model := lp.NewModel()
+			for _, c := range costs {
+				model.AddVar(c, "")
+			}
+			rhs := make([]float64, 0, len(rows)+n)
+			for _, r := range rows {
+				model.AddRow(r.terms, lp.LE, r.rhs, "")
+				rhs = append(rhs, r.rhs)
+			}
+			for j := 0; j < n; j++ {
+				model.AddRow([]lp.Term{{Var: lp.VarID(j), Coef: 1}}, lp.LE, 4, "")
+				rhs = append(rhs, 4)
+			}
+			return model, rhs
+		}
+		model, _ := build()
+		nBase := len(rows)
+		eta, dense := pair(model)
+		for _, s := range []*lp.Solver{eta, dense} {
+			if _, err := s.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 6; round++ {
+			// Tighten one base row (demand up) and add one fresh cut.
+			i := rng.Intn(nBase)
+			rows[i].rhs -= 0.5 + rng.Float64()
+			eta.SetRHS(i, rows[i].rhs)
+			dense.SetRHS(i, rows[i].rhs)
+			var terms []lp.Term
+			for j := 0; j < n; j++ {
+				if rng.Float64() < 0.4 {
+					terms = append(terms, lp.Term{Var: lp.VarID(j), Coef: -0.5 - rng.Float64()})
+				}
+			}
+			c := row{terms, -0.5 - 2*rng.Float64()}
+			rows = append(rows, c)
+			eta.AddCut(c.terms, lp.LE, c.rhs)
+			dense.AddCut(c.terms, lp.LE, c.rhs)
+			etaSol, err := eta.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			denseSol, err := dense.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Row order differs from the warm solvers (cuts were appended
+			// after the bound rows), so the certificate check is left to
+			// the cold comparison below.
+			checkAgree(t, "dse-warm", etaSol, denseSol, nil, true)
+			if etaSol.Diag.BlandPivots+denseSol.Diag.BlandPivots != 0 {
+				t.Fatalf("trial %d round %d: Bland pivots eta=%d dense=%d", trial, round,
+					etaSol.Diag.BlandPivots, denseSol.Diag.BlandPivots)
+			}
+			dualPivots += etaSol.Iterations
+			coldModel, coldRHS := build()
+			cold, err := lp.NewSolver(coldModel).Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Status != etaSol.Status {
+				t.Fatalf("trial %d round %d: status warm=%v cold=%v", trial, round, etaSol.Status, cold.Status)
+			}
+			if cold.Status != lp.Optimal {
+				break
+			}
+			optRounds++
+			checkAgree(t, "dse-cold", cold, cold, coldRHS, false)
+			if d := math.Abs(cold.Objective - etaSol.Objective); d > objEquivTol*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("trial %d round %d: warm objective %v, cold %v", trial, round, etaSol.Objective, cold.Objective)
+			}
+		}
+	}
+	if dualPivots == 0 || optRounds == 0 {
+		t.Fatalf("suite never exercised warm dual pricing: %d pivots, %d optimal rounds", dualPivots, optRounds)
+	}
+}
+
 // TestEngineEquivBounded pits the engines against each other on the bounded
 // simplex: random LPs where capacities live as variable upper bounds (with
 // bound-flip ratio tests and at-upper nonbasic states) instead of explicit

@@ -252,10 +252,14 @@ func (s *Solver) applyRung(rung int) {
 	case rungReprice:
 		// Throw away the Devex candidate list and rotate the pricing cursor
 		// back to the start; the next pricing pass rebuilds from scratch.
+		// The dual steepest-edge weights restart from 1 as well.
 		s.cand = s.cand[:0]
 		s.candCursor = 0
 		for j := range s.devexW {
 			s.devexW[j] = 1
+		}
+		for r := range s.dseW {
+			s.dseW[r] = 1
 		}
 	case rungPerturb:
 		s.perturbScale = ladderPerturbScale

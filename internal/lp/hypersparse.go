@@ -129,9 +129,11 @@ func (s *Solver) ensureHS() {
 	}
 }
 
+// growInt32 resizes a to n, reallocating with headroom: the factor
+// transposes it backs grow with every refactorization of a filling basis.
 func growInt32(a []int32, n int) []int32 {
 	if cap(a) < n {
-		return make([]int32, n)
+		return make([]int32, n, n+n/4)
 	}
 	return a[:n]
 }

@@ -36,8 +36,12 @@ import (
 // (bounded simplex), which changes the basis dimension and adds the at-upper
 // nonbasic set to the serialized state; ckpt-4 marks the switch of the warm
 // dual simplex to steepest-edge pricing on perturbed costs, under which a
-// saved basis and cut log replay a different trajectory.
-const checkpointVersion = "tcr-ckpt-4"
+// saved basis and cut log replay a different trajectory; ckpt-5 drops the
+// up-front pair-row block from the base model of non-vertex-transitive
+// topologies (meshes), whose cut logs now carry the lazily generated pair
+// rows as cutPair entries, so a ckpt-4 mesh basis no longer fits the
+// rebuilt model. Torus checkpoints replay identically.
+const checkpointVersion = "tcr-ckpt-5"
 
 // checkpoint is the on-disk resume state of a cut loop. SHA256 is the
 // integrity hash (store.HashBytes) of the checkpoint's own JSON encoding

@@ -181,24 +181,6 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potential
 	if withLocality {
 		p.addLocalityRow(m)
 	}
-	if !t.VertexTransitive() {
-		// Without translation symmetry every pair is its own commodity and
-		// the lazy trickle of pair rows makes the simplex grind through one
-		// degenerate re-solve per round; at the small scales non-transitive
-		// design runs at, writing LP (8)'s full pair-constraint block up
-		// front is cheaper than generating it.
-		for _, b := range blocks {
-			for s := 0; s < p.n; s++ {
-				for d := 0; d < p.n; d++ {
-					if s == d {
-						continue
-					}
-					m.AddRow(p.pairRowTerms(b, s, d), lp.LE, 0, "")
-					b.added[s*p.n+d] = true
-				}
-			}
-		}
-	}
 	p.model = m
 	p.solver = lp.NewSolver(m)
 	p.blocks = blocks

@@ -192,15 +192,6 @@ type Solver struct {
 	// generous default proportional to the problem size.
 	MaxIters int
 
-	// PriceWorkers parallelizes Devex candidate scoring (and the matching
-	// weight updates) across this many goroutines. 0 or 1 runs the
-	// historical inline path; values above 1 split the candidate list over
-	// par.Do index slots and reduce sequentially, so the entering column —
-	// and with it the entire pivot trajectory — is bit-for-bit identical
-	// at every worker count. Scoring is read-only (reduced costs against
-	// fixed duals), which is what makes the fan-out safe.
-	PriceWorkers int
-
 	iterations int
 
 	// Devex pricing state (primal simplex): per-column reference weights
@@ -210,11 +201,6 @@ type Solver struct {
 	devexW     []float64
 	cand       []int
 	candCursor int
-	// priceD/priceOK are the per-candidate result slots of the parallel
-	// scoring pass.
-	priceD  []float64
-	priceOK []bool
-
 	// dseW holds the dual simplex's steepest-edge weights, one per basis
 	// position (dualInner).
 	dseW []float64

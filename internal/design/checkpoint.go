@@ -40,8 +40,11 @@ import (
 // up-front pair-row block from the base model of non-vertex-transitive
 // topologies (meshes), whose cut logs now carry the lazily generated pair
 // rows as cutPair entries, so a ckpt-4 mesh basis no longer fits the
-// rebuilt model. Torus checkpoints replay identically.
-const checkpointVersion = "tcr-ckpt-5"
+// rebuilt model; ckpt-6 marks the bounded Markowitz search (count buckets,
+// a four-column candidate limit, threshold 0.1) and the lower eta-file fill
+// bound, under which every saved basis and cut log replays a different
+// trajectory.
+const checkpointVersion = "tcr-ckpt-6"
 
 // checkpoint is the on-disk resume state of a cut loop. SHA256 is the
 // integrity hash (store.HashBytes) of the checkpoint's own JSON encoding

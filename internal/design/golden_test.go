@@ -51,8 +51,8 @@ func TestGoldenDesignFingerprints(t *testing.T) {
 		lexH   uint64 // MinLocalityAtWorstCase HNorm bits (semantic check)
 		gammaW uint64 // WorstCaseOptimal GammaWC bits
 	}{
-		{4, "49b6909fe4082161", "bf630f817c54480d", 0x3ff59997a8f783ec, 0x3ff00000000007f9},
-		{6, "76d176d2747e6dc4", "04b1304a62760877", 0x3ff71198f4769b48, 0x3ff8000000228f66},
+		{4, "e8cb7f46db84298c", "4ac3add5894fa216", 0x3ff59997a8f783ec, 0x3ff0000000002557},
+		{6, "7878bbb97acb3069", "6e93d1c032420c3b", 0x3ff71198f4769b48, 0x3ff8000000026b16},
 	}
 	for _, tc := range cases {
 		if tc.k == 6 && testing.Short() {

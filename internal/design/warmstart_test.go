@@ -97,7 +97,7 @@ func TestWarmStartUnusableSnapshotIgnored(t *testing.T) {
 	dir := t.TempDir()
 
 	cases := []struct{ name, content string }{
-		{"torn", `{"sig":"tcr-ckpt-5 k=4`},
+		{"torn", `{"sig":"tcr-ckpt-6 k=4`},
 		{"garbage", "\x00\x01not a snapshot"},
 		{"empty", ""},
 	}

@@ -19,10 +19,11 @@ const (
 	// etaRefactorFill triggers an early refactorization when the eta file's
 	// nonzeros exceed this multiple of the factor nonzeros — the signature
 	// of dense spike columns polluting the product form. It also bounds the
-	// file's memory, the largest single item of a cold solve's working set
-	// on the mesh design LPs; refactorization is cheap enough that a bound
-	// this low costs those solves only a few percent of time.
-	etaRefactorFill = 6
+	// file's memory, the largest single item of the design loop's working
+	// set: on the final k=6 and mesh:4x4 bases its capacity is 0.47-0.57 MB
+	// under a bound of 6 and 0.25-0.29 MB under 3. With the bounded
+	// Markowitz search the extra refactorizations are cheap.
+	etaRefactorFill = 3
 )
 
 // Op kinds in the product-form file.

@@ -28,6 +28,13 @@ package lp
 //   - When a reach covers more than 1/hyperSparseDenom of the steps, the
 //     remaining passes run dense (the symbolic walk would cost more than
 //     it saves) and the output vector is simply marked dirty.
+//   - Each solve kind keeps a running average of its result density, in
+//     the manner of Hall & McKinnon (2005). Past hsDensityMax the next
+//     solve skips the symbolic machinery and takes the dense reference path
+//     outright: in the warm dual simplex on cut-laden bases, BTRAN rows
+//     average 30-50% nonzero and FTRAN columns 27-53%, where every reach is
+//     overhead, while the cold base-LP solves stay hyper-sparse and keep
+//     the reach.
 
 // hyperSparseDenom is the density cutoff: a symbolic reach covering more
 // than m/hyperSparseDenom factor steps completes densely.
@@ -49,6 +56,14 @@ const hsMinDim = 256
 // more than the dense pass it tries to avoid; the L pass stays symbolic
 // because its reach is cheap and its fill is what this gate inspects.
 const hsFtranSeedDenom = 16
+
+// hsDensityMax is the predicted result density (nonzeros / length) above
+// which a solve takes the dense reference path.
+const hsDensityMax = 0.10
+
+// hsDensityWeight is the weight of the newest solve in the running density
+// average.
+const hsDensityWeight = 0.05
 
 // hsStampMax bounds the visit stamps; past it the mark arrays are re-zeroed
 // so int32 stamps can never wrap into false matches on hours-scale runs.
@@ -80,6 +95,29 @@ type hyperSparse struct {
 	reach  []int32
 	vmark  []int32
 	vstamp int32
+
+	// Running result-density averages of btranRowSparse and ftranVecSparse,
+	// updated only at dimensions where the symbolic path is an option.
+	btranDens, ftranDens float64
+}
+
+// trackDensity folds one solve's result density (nz nonzeros out of n)
+// into the running average avg.
+func trackDensity(avg float64, nz, n int) float64 {
+	//lint:ignore nanguard n is a solve's result length, at least hsMinDim
+	return (1-hsDensityWeight)*avg + hsDensityWeight*float64(nz)/float64(n)
+}
+
+// countNonzeros reports the number of nonzero entries of v.
+func countNonzeros(v []float64) int {
+	nz := 0
+	for _, x := range v {
+		//lint:ignore floatcmp structural count of exact zeros
+		if x != 0 {
+			nz++
+		}
+	}
+	return nz
 }
 
 // clearScratch restores a scratch vector's all-zero invariant: O(pattern)
@@ -229,20 +267,34 @@ func (s *Solver) buildTrans() {
 	hsp.transOK = true
 }
 
-// ftranVecSparse solves B u = b like ftranVec, but drives each triangular
-// pass over the symbolic reach of b's pattern (s.hs.rowSpPat, which it
-// extends with the L-pass fill). Falls back to the dense passes past the
-// density cutoff. Every path writes out in full — the caller need not (and
-// must not bother to) pre-clear it.
+// ftranVecSparse solves B u = b like ftranVec: by the dense reference solve
+// on small bases and when the running density average predicts a dense
+// result, by the symbolic reach otherwise. Every path writes out in full —
+// the caller need not (and must not bother to) pre-clear it.
 func (s *Solver) ftranVecSparse(b, out []float64) {
-	lu := &s.lu
 	hsp := &s.hs
-	m := lu.m
-	if m < hsMinDim {
+	if s.lu.m < hsMinDim {
 		hsp.rowSpDirty = true
 		s.ftranVec(b, out)
 		return
 	}
+	if hsp.ftranDens > hsDensityMax {
+		hsp.rowSpDirty = true
+		s.ftranVec(b, out)
+	} else {
+		s.ftranVecReach(b, out)
+	}
+	hsp.ftranDens = trackDensity(hsp.ftranDens, countNonzeros(out), len(out))
+}
+
+// ftranVecReach solves B u = b like ftranVec, but drives each triangular
+// pass over the symbolic reach of b's pattern (s.hs.rowSpPat, which it
+// extends with the L-pass fill). Falls back to the dense passes past the
+// density cutoff.
+func (s *Solver) ftranVecReach(b, out []float64) {
+	lu := &s.lu
+	hsp := &s.hs
+	m := lu.m
 	if !hsp.transOK {
 		s.buildTrans()
 	} else {
@@ -403,22 +455,35 @@ func (s *Solver) ftranVecSparse(b, out []float64) {
 
 // btranRowSparse computes row r of Binv from the unit seed e_r, tracking the
 // position-space pattern through the reversed etas and the factor
-// transposes. It is the eta engine's btranRow.
+// transposes, or by the dense reference solve on small bases and when the
+// running density average predicts a dense row. It is the eta engine's
+// btranRow.
 func (s *Solver) btranRowSparse(r int) []float64 {
 	hsp := &s.hs
 	w := s.growPosSp()
 	s.clearScratch(w, &hsp.posSpPat, &hsp.posSpDirty)
 	w[r] = 1
-	if s.lu.m < hsMinDim {
+	small := s.lu.m < hsMinDim
+	if small || hsp.btranDens > hsDensityMax {
 		// Dense reference path; both scratch vectors leave untracked.
 		hsp.posSpDirty = true
 		hsp.rhoDirty = true
-		return s.btranEta(w)
+		z := s.btranEta(w)
+		if !small {
+			hsp.btranDens = trackDensity(hsp.btranDens, countNonzeros(z), len(z))
+		}
+		return z
 	}
 	s.ensureHS()
 	hsp.posSpPat = append(hsp.posSpPat, int32(r))
 	s.applyBtranSparse(w)
-	return s.btranFactorsSparse(w)
+	z := s.btranFactorsSparse(w)
+	nz := len(hsp.rhoPat)
+	if hsp.rhoDirty {
+		nz = countNonzeros(z)
+	}
+	hsp.btranDens = trackDensity(hsp.btranDens, nz, len(z))
+	return z
 }
 
 // applyBtranSparse is etaFile.applyBtran tracking w's pattern

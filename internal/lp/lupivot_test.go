@@ -6,107 +6,81 @@ import (
 	"testing"
 )
 
-// refSelectPivot is the reference pivot choice: the same rule as
-// luSelectPivot, computed by full scans over every position and row with
-// each column's largest magnitude recomputed from its values, and none of
-// the singleton or active-column bitsets and cached column maxima the
-// solver keeps. bump reports whether the choice came from the Markowitz
-// search rather than a singleton.
-func refSelectPivot(s *Solver) (pr, pc, pIdx int, bump bool) {
+// acceptable reports whether entry i of unpivoted position c passes the
+// pivot thresholds, with the column maximum recomputed from its values.
+func acceptable(w *luWork, c, i int) bool {
+	a := math.Abs(w.colVals[c][i])
+	return a > pivotTol && a >= absMax(w.colVals[c])*markowitzStab
+}
+
+// refMinMerit is the full-scan Markowitz minimum over every acceptable entry
+// of the unpivoted submatrix (math.MaxInt64 when there is none), and
+// refSingleton whether one of those entries is an acceptable singleton: the
+// only live entry of its column or of its row.
+func refMinMerit(s *Solver) (minMerit int64, refSingleton bool) {
 	w := &s.luw
-	m := s.nRows
-	for c := 0; c < m; c++ {
-		if !w.colPiv[c] && len(w.colRows[c]) == 1 && math.Abs(w.colVals[c][0]) > pivotTol {
-			return int(w.colRows[c][0]), c, 0, false
-		}
-	}
-	for r := 0; r < m; r++ {
-		if w.rowPiv[r] || w.rowCnt[r] != 1 {
-			continue
-		}
-		for c := 0; c < m; c++ {
-			if w.colPiv[c] {
-				continue
-			}
-			idx := -1
-			for i, ri := range w.colRows[c] {
-				if int(ri) == r {
-					idx = i
-				}
-			}
-			if idx < 0 {
-				continue
-			}
-			if a := math.Abs(w.colVals[c][idx]); a > pivotTol && a >= absMax(w.colVals[c])*markowitzStab {
-				return r, c, idx, false
-			}
-			break // the row's only live entry is unstable
-		}
-	}
-	bestMerit := int64(math.MaxInt64)
-	bestMag := 0.0
-	pr, pc, pIdx = -1, -1, -1
-	for c := 0; c < m; c++ {
+	minMerit = math.MaxInt64
+	for c := 0; c < s.nRows; c++ {
 		if w.colPiv[c] {
 			continue
 		}
-		rows, vals := w.colRows[c], w.colVals[c]
-		colMax := absMax(vals)
-		if colMax <= pivotTol {
-			continue
-		}
-		cc := int64(len(rows) - 1)
-		for i, r := range rows {
-			a := math.Abs(vals[i])
-			if a < colMax*markowitzStab || a <= pivotTol {
+		cc := int64(len(w.colRows[c]) - 1)
+		for i, r := range w.colRows[c] {
+			if !acceptable(w, c, i) {
 				continue
 			}
-			merit := cc * int64(w.rowCnt[r]-1)
-			if merit < bestMerit || (merit == bestMerit && a > bestMag) {
-				bestMerit, bestMag = merit, a
-				pr, pc, pIdx = int(r), c, i
+			rc := int64(w.rowCnt[r] - 1)
+			if cc == 0 || rc == 0 {
+				refSingleton = true
 			}
-		}
-		if bestMerit == 0 {
-			break
-		}
-	}
-	return pr, pc, pIdx, true
-}
-
-// refRepairCol is the reference choice of the column luRepair replaces: the
-// lowest-index unpivoted position of smallest largest-magnitude.
-func refRepairCol(s *Solver) int {
-	w := &s.luw
-	bad, badMax := -1, math.Inf(1)
-	for c := 0; c < s.nRows; c++ {
-		if !w.colPiv[c] {
-			if mx := absMax(w.colVals[c]); mx < badMax {
-				bad, badMax = c, mx
+			if merit := cc * rc; merit < minMerit {
+				minMerit = merit
 			}
 		}
 	}
-	return bad
+	return minMerit, refSingleton
 }
 
-// checkLUCaches fails the test unless colAct holds exactly the unpivoted
-// positions and colMax matches every live column's values.
-func checkLUCaches(t *testing.T, s *Solver) {
+// checkLUBuckets fails the test unless every unpivoted position sits in
+// exactly the count bucket of its live entry count, with consistent links,
+// no pivoted position sits in any bucket, and colMax matches every live
+// column's values.
+func checkLUBuckets(t *testing.T, s *Solver) {
 	t.Helper()
 	w := &s.luw
-	for c := 0; c < s.nRows; c++ {
-		act := w.colAct[c>>6]&(1<<(uint(c)&63)) != 0
-		if act == w.colPiv[c] {
-			t.Fatalf("position %d: active bit %v, pivoted %v", c, act, w.colPiv[c])
-		}
-		//lint:ignore floatcmp the cache must hold the exact recomputed maximum
-		if act && w.colMax[c] != absMax(w.colVals[c]) {
-			t.Fatalf("position %d: cached max %v, values give %v", c, w.colMax[c], absMax(w.colVals[c]))
+	m := s.nRows
+	if len(w.bktHead) != m+1 {
+		t.Fatalf("%d count buckets for %d positions", len(w.bktHead), m)
+	}
+	seen := make([]bool, m)
+	for n, head := range w.bktHead {
+		prev := int32(-1)
+		for c := head; c >= 0; c = w.bktNext[c] {
+			switch {
+			case seen[c]:
+				t.Fatalf("position %d listed twice", c)
+			case w.colPiv[c]:
+				t.Fatalf("pivoted position %d in bucket %d", c, n)
+			case len(w.colRows[c]) != n || int(w.colBkt[c]) != n:
+				t.Fatalf("position %d with %d live entries (colBkt %d) in bucket %d",
+					c, len(w.colRows[c]), w.colBkt[c], n)
+			case w.bktPrev[c] != prev:
+				t.Fatalf("position %d: back link %d, want %d", c, w.bktPrev[c], prev)
+			}
+			seen[c] = true
+			prev = c
 		}
 	}
-	for c := s.nRows; c < len(w.colAct)*64; c++ {
-		if w.colAct[c>>6]&(1<<(uint(c)&63)) != 0 {
-			t.Fatalf("active bit set past the last position %d", c)
+	for c := 0; c < m; c++ {
+		if !w.colPiv[c] && !seen[c] {
+			t.Fatalf("unpivoted position %d (%d live entries) in no bucket", c, len(w.colRows[c]))
+		}
+		if w.colPiv[c] && w.colBkt[c] != -1 {
+			t.Fatalf("pivoted position %d keeps bucket %d", c, w.colBkt[c])
+		}
+		//lint:ignore floatcmp the cache must hold the exact recomputed maximum
+		if !w.colPiv[c] && w.colMax[c] != absMax(w.colVals[c]) {
+			t.Fatalf("position %d: cached max %v, values give %v", c, w.colMax[c], absMax(w.colVals[c]))
 		}
 	}
 }
@@ -174,51 +148,91 @@ func randomLUSolver(rng *rand.Rand) *Solver {
 	return s
 }
 
-// TestLUSelectPivotMatchesFullScan pins the active-column Markowitz search
-// to the full-scan rule it replaced: on random sparse bases, every pivot
-// step picks the same (row, position, entry) as refSelectPivot, every
-// repair replaces the same position as refRepairCol, and the active set and
-// cached column maxima stay exact throughout.
-func TestLUSelectPivotMatchesFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	bumpSteps, repairs := 0, 0
+// TestLUBoundedMarkowitz checks the bounded Markowitz rule step by step on
+// random sparse bases: every pivot passes both magnitude thresholds, an
+// acceptable singleton is always taken when one exists, the count buckets
+// hold exactly the unpivoted columns at their live counts, and a bump
+// search that stopped on its merit bound returns the full-scan minimum
+// merit. Repairs replace a column of least magnitude.
+func TestLUBoundedMarkowitz(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	exactStops, limitStops, repairs := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		s := randomLUSolver(rng)
+		w := &s.luw
 		s.luLoad()
 	steps:
 		for step := 0; step < s.nRows; step++ {
 			for {
-				checkLUCaches(t, s)
-				wr, wc, wi, bump := refSelectPivot(s)
+				checkLUBuckets(t, s)
+				minMerit, single := refMinMerit(s)
 				pr, pc, pIdx := s.luSelectPivot()
-				if pr != wr || pc != wc || pIdx != wi {
-					t.Fatalf("trial %d step %d: pivot (%d,%d,%d), full scan (%d,%d,%d)",
-						trial, step, pr, pc, pIdx, wr, wc, wi)
-				}
-				if pc >= 0 {
-					if bump {
-						bumpSteps++
+				if pc < 0 {
+					if minMerit != math.MaxInt64 {
+						t.Fatalf("trial %d step %d: no pivot, full scan finds merit %d", trial, step, minMerit)
 					}
-					s.luEliminate(pr, pc, pIdx)
-					break
+					before := append([]int(nil), s.basis...)
+					maxBefore := make([]float64, s.nRows)
+					minMax := math.Inf(1)
+					for c := range maxBefore {
+						maxBefore[c] = absMax(w.colVals[c])
+						if !w.colPiv[c] {
+							minMax = math.Min(minMax, maxBefore[c])
+						}
+					}
+					if err := s.luRepair(); err != nil {
+						break steps // singular beyond repair
+					}
+					repairs++
+					changed := 0
+					for c, col := range s.basis {
+						if col == before[c] {
+							continue
+						}
+						changed++
+						//lint:ignore floatcmp the repaired column must be one of least magnitude
+						if w.colPiv[c] || s.kind[col] != kindArtificial || maxBefore[c] != minMax {
+							t.Fatalf("trial %d step %d: repair replaced position %d (max %v, least %v) by column %d",
+								trial, step, c, maxBefore[c], minMax, col)
+						}
+					}
+					if changed != 1 {
+						t.Fatalf("trial %d step %d: repair changed %d positions", trial, step, changed)
+					}
+					continue
 				}
-				bad := refRepairCol(s)
-				old := -1
-				if bad >= 0 {
-					old = s.basis[bad]
+				if int(w.colRows[pc][pIdx]) != pr || !acceptable(w, pc, pIdx) {
+					t.Fatalf("trial %d step %d: pivot (%d,%d,%d) fails the thresholds", trial, step, pr, pc, pIdx)
 				}
-				if err := s.luRepair(); err != nil {
-					break steps // singular beyond repair: same on either scan
+				merit := int64(len(w.colRows[pc])-1) * int64(w.rowCnt[pr]-1)
+				if single {
+					if merit != 0 {
+						t.Fatalf("trial %d step %d: merit %d taken over an acceptable singleton", trial, step, merit)
+					}
+				} else {
+					br, bc, bi, exact := s.luMarkowitz()
+					if br != pr || bc != pc || bi != pIdx {
+						t.Fatalf("trial %d step %d: luSelectPivot (%d,%d,%d), luMarkowitz (%d,%d,%d)",
+							trial, step, pr, pc, pIdx, br, bc, bi)
+					}
+					if exact {
+						exactStops++
+						if merit != minMerit {
+							t.Fatalf("trial %d step %d: bounded search stopped at merit %d, full scan %d",
+								trial, step, merit, minMerit)
+						}
+					} else {
+						limitStops++
+					}
 				}
-				repairs++
-				if bad < 0 || s.basis[bad] == old || s.kind[s.basis[bad]] != kindArtificial {
-					t.Fatalf("trial %d step %d: repair did not replace position %d", trial, step, bad)
-				}
+				s.luEliminate(pr, pc, pIdx)
+				break
 			}
 		}
 	}
-	if bumpSteps == 0 || repairs == 0 {
-		t.Fatalf("random bases exercised %d bump steps and %d repairs; want both > 0", bumpSteps, repairs)
+	if exactStops == 0 || limitStops == 0 || repairs == 0 {
+		t.Fatalf("random bases exercised %d exact stops, %d limit stops and %d repairs; want all > 0",
+			exactStops, limitStops, repairs)
 	}
-	t.Logf("%d bump steps, %d repairs", bumpSteps, repairs)
+	t.Logf("%d exact stops, %d limit stops, %d repairs", exactStops, limitStops, repairs)
 }

@@ -101,7 +101,7 @@ func (p *FlowLP) serializable() bool {
 // one from the base model plus the cut log. Used after a numerical failure
 // (fresh internal state) and when restoring a checkpoint.
 func (p *FlowLP) rebuildSolver() {
-	p.solver = lp.NewSolver(p.model)
+	p.solver = lp.NewSolver(p.Model())
 	for _, e := range p.cutLog {
 		p.apply(e)
 	}

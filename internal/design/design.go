@@ -232,11 +232,16 @@ type FlowLP struct {
 	pairComm []int
 	pairAut  []topo.AutID
 
-	model  *lp.Model
-	solver *lp.Solver
-	wVar   lp.VarID // the max-load variable
-	hRow   lp.RowID // locality budget row, -1 when absent
-	hasH   bool
+	// model is the base LP the solver was built from. The lazy-row loop
+	// drops it once its restores are done, since it duplicates the
+	// solver's own matrix (0.1-0.2 MB on the larger design LPs), and
+	// newModel rebuilds it for the rare retry that needs it again.
+	model    *lp.Model
+	newModel func() *lp.Model
+	solver   *lp.Solver
+	wVar     lp.VarID // the max-load variable
+	hRow     lp.RowID // locality budget row, -1 when absent
+	hasH     bool
 
 	// blocks are the matching-dual potential blocks when the LP was built
 	// by newPotentialLP; nil for the pure cutting-plane formulation.

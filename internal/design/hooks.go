@@ -12,9 +12,15 @@ import (
 // using the unexported state directly.
 
 // Model returns the base LP model (flow conservation plus the optional
-// locality row). The model is solver-independent: callers may construct any
-// number of lp.Solvers from it.
-func (p *FlowLP) Model() *lp.Model { return p.model }
+// locality row), rebuilding it if the lazy-row loop has dropped it. The
+// model is solver-independent: callers may construct any number of
+// lp.Solvers from it.
+func (p *FlowLP) Model() *lp.Model {
+	if p.model == nil {
+		return p.newModel()
+	}
+	return p.model
+}
 
 // WVar returns the max-channel-load variable the design objective minimizes.
 func (p *FlowLP) WVar() lp.VarID { return p.wVar }

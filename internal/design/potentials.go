@@ -171,7 +171,21 @@ type potentialLP struct {
 // with lazily generated pair rows.
 func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potentialLP {
 	p := newBareFlowLP(t, opts)
+	m, blocks := p.potentialModel(withLocality)
+	p.model = m
+	p.newModel = func() *lp.Model {
+		m, _ := newBareFlowLP(t, opts).potentialModel(withLocality)
+		return m
+	}
+	p.solver = lp.NewSolver(m)
+	p.blocks = blocks
+	return &potentialLP{FlowLP: p}
+}
 
+// potentialModel builds the base model of LP (8) — flow variables, the load
+// variable, the potential blocks, conservation, symmetry and the optional
+// locality row — setting p's variable and row handles on the way.
+func (p *FlowLP) potentialModel(withLocality bool) (*lp.Model, []*potBlock) {
 	m := lp.NewModel()
 	p.addFlowVars(m)
 	p.wVar = m.AddVar(1, "w")
@@ -181,10 +195,7 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potential
 	if withLocality {
 		p.addLocalityRow(m)
 	}
-	p.model = m
-	p.solver = lp.NewSolver(m)
-	p.blocks = blocks
-	return &potentialLP{FlowLP: p}
+	return m, blocks
 }
 
 // maxRowsPerBlockRound caps how many lazy pair rows enter per block per
@@ -218,6 +229,10 @@ func (q *potentialLP) solve(ctx context.Context, fixedBound float64) (*Result, e
 	} else {
 		p.restoreWarmStart()
 	}
+	// From here only a retry rebuilds the solver, and it can rebuild the
+	// base model too: keeping it would hold a second copy of the matrix
+	// through every round.
+	p.model = nil
 	var bestFlow *eval.Flow
 	var bestObj, bestGW float64
 	for round := startRound; round < p.opts.rounds(); round++ {

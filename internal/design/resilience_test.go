@@ -1,6 +1,8 @@
 package design
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -266,5 +268,43 @@ func TestLexCheckpointedStage2(t *testing.T) {
 	if math.Abs(res.HNorm-ref.HNorm) > 1e-5 || math.Abs(res.GammaWC-ref.GammaWC) > 1e-5 {
 		t.Fatalf("checkpointed run diverged: H=%v gamma=%v, want H=%v gamma=%v",
 			res.HNorm, res.GammaWC, ref.HNorm, ref.GammaWC)
+	}
+}
+
+// TestPotentialModelRebuild: the lazy-row loop drops its base model once
+// the restores are done, and a later retry rebuilds the solver from a
+// rebuilt model. That model must be the original byte for byte (MPS with
+// 17-digit coefficients), on a torus with a locality row and on a mesh.
+func TestPotentialModelRebuild(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		loc  bool
+	}{{"torus2d:4", true}, {"mesh:3x3", false}, {"torus3d:3", false}} {
+		tp, err := topo.Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := newPotentialLP(tp, tc.loc, Options{Workers: 1})
+		var orig bytes.Buffer
+		if err := q.Model().WriteMPS(&orig, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.solve(context.Background(), math.NaN())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Certified {
+			t.Fatalf("%s: uncertified: %s", tc.spec, res.Reason)
+		}
+		if q.model != nil {
+			t.Fatalf("%s: the loop kept its base model", tc.spec)
+		}
+		var rebuilt bytes.Buffer
+		if err := q.Model().WriteMPS(&rebuilt, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(orig.Bytes(), rebuilt.Bytes()) {
+			t.Fatalf("%s: rebuilt base model differs from the original", tc.spec)
+		}
 	}
 }

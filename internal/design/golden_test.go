@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"tcr/internal/topo"
+	"tcr/internal/traffic"
 )
 
 // goldenHash fingerprints a flow solution: SHA-256 (first 16 hex digits)
@@ -95,5 +96,30 @@ func TestGoldenDesignFingerprints(t *testing.T) {
 		if d := math.Abs(res3.GammaWC - res.GammaWC); d > 1e-4*res.GammaWC {
 			t.Errorf("k=%d lex GammaWC=%v drifted from wcopt %v", tc.k, res3.GammaWC, res.GammaWC)
 		}
+	}
+}
+
+// TestGoldenPathDesignFingerprints pins the k=4 2TURN and 2TURNA designs
+// bit for bit, like the flow designs above: the hash covers the reported
+// objective and the full flow of the routing the two-stage path LP returns.
+func TestGoldenPathDesignFingerprints(t *testing.T) {
+	if !goldenEngineDefault {
+		t.Skip("fingerprints pin the eta engine's bit trajectory; lpdense swaps the default engine")
+	}
+	tor := topo.NewTorus(4)
+	opts := Options{Workers: 1}
+	tt, err := DesignTwoTurn(tor, opts)
+	if err != nil {
+		t.Fatalf("2TURN: %v", err)
+	}
+	if got, want := goldenHash(tt.Flow.X, tt.Objective), "e2ab53eb6ed20282"; got != want {
+		t.Errorf("k=4 2TURN fingerprint %s, pinned %s", got, want)
+	}
+	tta, err := DesignTwoTurnAvg(tor, traffic.Sample(tor.N, 8, 31), opts)
+	if err != nil {
+		t.Fatalf("2TURNA: %v", err)
+	}
+	if got, want := goldenHash(tta.Flow.X, tta.Objective), "9919b3483d4fe52d"; got != want {
+		t.Errorf("k=4 2TURNA fingerprint %s, pinned %s", got, want)
 	}
 }

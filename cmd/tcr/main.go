@@ -227,7 +227,7 @@ func cmdFigure1(ctx context.Context, args []string) error {
 		fmt.Printf("%s\t%.4f\t%.4f\n", alg.Name(), m.HNorm, m.WorstCaseFraction)
 	}
 	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+		tt, err := design2Turn(ctx, t, tcr.DesignOptions{})
 		if err != nil {
 			return err
 		}
@@ -259,11 +259,14 @@ func cmdFigure4(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("k=%d optimal: %w", k, err)
 		}
+		if !opt.Certified {
+			return fmt.Errorf("k=%d optimal: %w: %s", k, design.ErrUncertified, opt.Reason)
+		}
 		ival, err := tcr.ReportCtx(ctx, t, tcr.IVAL(), nil)
 		if err != nil {
 			return err
 		}
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+		tt, err := design2Turn(ctx, t, tcr.DesignOptions{})
 		if err != nil {
 			return fmt.Errorf("k=%d 2TURN: %w", k, err)
 		}
@@ -287,7 +290,7 @@ func cmdFigure5(ctx context.Context, args []string) error {
 	}
 	var ttAlg tcr.Algorithm
 	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+		tt, err := design2Turn(ctx, t, tcr.DesignOptions{})
 		if err != nil {
 			return err
 		}
@@ -356,7 +359,7 @@ func cmdFigure6(ctx context.Context, args []string) error {
 		fmt.Printf("%s\t%.4f\t%.4f\n", alg.Name(), m.HNorm, m.AvgCaseFraction)
 	}
 	if *with2turn {
-		tt, err := tcr.Design2TurnCtx(ctx, t, tcr.DesignOptions{})
+		tt, err := design2Turn(ctx, t, tcr.DesignOptions{})
 		if err != nil {
 			return err
 		}
@@ -365,7 +368,7 @@ func cmdFigure6(ctx context.Context, args []string) error {
 			return err
 		}
 		fmt.Printf("2TURN\t%.4f\t%.4f\n", m.HNorm, m.AvgCaseFraction)
-		tta, err := tcr.Design2TurnACtx(ctx, t, samples, tcr.DesignOptions{})
+		tta, err := design2TurnA(ctx, t, samples, tcr.DesignOptions{})
 		if err != nil {
 			return err
 		}

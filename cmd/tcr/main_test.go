@@ -1,8 +1,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"tcr/internal/design"
 )
 
 func TestSweep(t *testing.T) {
@@ -43,5 +49,20 @@ func TestClosedFormsList(t *testing.T) {
 			t.Fatalf("duplicate algorithm %s", a.Name())
 		}
 		seen[a.Name()] = true
+	}
+}
+
+// TestDesignPathUncertifiedExit4: a path design whose round budget runs out
+// fails with ErrUncertified (exit 4) instead of writing a degraded table.
+func TestDesignPathUncertifiedExit4(t *testing.T) {
+	for _, kind := range []string{"2turn", "2turna"} {
+		out := filepath.Join(t.TempDir(), kind+".json")
+		err := cmdDesign(context.Background(), []string{"-k", "3", "-kind", kind, "-samples", "4", "-rounds", "1", "-o", out})
+		if !errors.Is(err, design.ErrUncertified) || exitCode(err) != exitUncertified {
+			t.Errorf("%s: err = %v (exit %d), want ErrUncertified (exit %d)", kind, err, exitCode(err), exitUncertified)
+		}
+		if _, serr := os.Stat(out); !errors.Is(serr, os.ErrNotExist) {
+			t.Errorf("%s: degraded design written to %s", kind, out)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func cmdDesign(ctx context.Context, args []string) error {
 	nSamples := fs.Int("samples", 50, "sample count for 2turna")
 	seed := fs.Int64("seed", 1, "sample seed")
 	ckpt := fs.String("checkpoint", "", "checkpoint file for a resumable wcopt design (see DESIGN.md)")
-	rounds := fs.Int("rounds", 0, "cutting-plane round budget, 0 = default (wcopt exits 4 when exhausted)")
+	rounds := fs.Int("rounds", 0, "cutting-plane round budget per stage, 0 = default (exits 4 when exhausted)")
 	storeDir := fs.String("store", "", "artifact store directory for wcopt: replay a stored design, persist and checkpoint a fresh one")
 	out := fs.String("o", "", "output JSON path (default stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -119,7 +119,7 @@ func cmdDesign(ctx context.Context, args []string) error {
 	var tbl *routing.Table
 	switch *kind {
 	case "2turn":
-		res, err := tcr.Design2TurnCtx(ctx, t.(*tcr.Torus), tcr.DesignOptions{})
+		res, err := design2Turn(ctx, t.(*tcr.Torus), tcr.DesignOptions{MaxRounds: *rounds})
 		if err != nil {
 			return err
 		}
@@ -128,7 +128,7 @@ func cmdDesign(ctx context.Context, args []string) error {
 	case "2turna":
 		tor := t.(*tcr.Torus)
 		samples := tcr.SampleTraffic(tor, *nSamples, *seed)
-		res, err := tcr.Design2TurnACtx(ctx, tor, samples, tcr.DesignOptions{})
+		res, err := design2TurnA(ctx, tor, samples, tcr.DesignOptions{MaxRounds: *rounds})
 		if err != nil {
 			return err
 		}
@@ -164,6 +164,34 @@ func cmdDesign(ctx context.Context, args []string) error {
 		return werr
 	}
 	return cerr
+}
+
+// design2Turn designs 2TURN and refuses an uncertified result.
+func design2Turn(ctx context.Context, t *tcr.Torus, opts tcr.DesignOptions) (*tcr.PathDesignResult, error) {
+	res, err := tcr.Design2TurnCtx(ctx, t, opts)
+	return certifiedPath("2TURN", res, err)
+}
+
+// design2TurnA designs 2TURNA and refuses an uncertified result.
+func design2TurnA(ctx context.Context, t *tcr.Torus, samples []*tcr.Traffic, opts tcr.DesignOptions) (*tcr.PathDesignResult, error) {
+	res, err := tcr.Design2TurnACtx(ctx, t, samples, opts)
+	return certifiedPath("2TURNA", res, err)
+}
+
+// certifiedPath passes a certified path design through. A degraded one (a
+// budget ran out) prints its best-known bound on stderr and fails with an
+// ErrUncertified-wrapped error (exit 4), as designWcopt does: a table or
+// plot point built from an uncertified design would pass for the optimum.
+func certifiedPath(label string, res *tcr.PathDesignResult, err error) (*tcr.PathDesignResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	if !res.Certified {
+		fmt.Fprintf(os.Stderr, "%s: best known H=%.4f gamma_wc=%.4f after %d rounds (uncertified)\n",
+			label, res.HNorm, res.GammaWC, res.Rounds)
+		return nil, fmt.Errorf("%s: %w: %s", label, design.ErrUncertified, res.Reason)
+	}
+	return res, nil
 }
 
 // designWcopt runs — or replays from the artifact store — the lexicographic

@@ -2,7 +2,6 @@ package design
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tcr/internal/eval"
@@ -45,11 +44,31 @@ func NewAvgCaseLP(t topo.Topology, samples []*traffic.Matrix, withLocality bool,
 	}
 	p.model = m
 	p.solver = lp.NewSolver(m)
-	return &AvgCaseLP{flp: p, samples: samples, tVars: tVars}
+	return newAvgCase(p, samples, tVars)
+}
+
+// newAvgCase plugs the per-sample separation into a flow LP whose tVars[i]
+// bounds sample i's maximum channel load. Matrix cuts carry dense patterns
+// that do not serialize, so the snapshot options are cleared: average-case
+// loops retry through the cut log but never checkpoint or warm-start.
+func newAvgCase(p *FlowLP, samples []*traffic.Matrix, tVars []lp.VarID) *AvgCaseLP {
+	p.opts.Checkpoint, p.opts.WarmFrom, p.opts.FinalSnapshot = "", "", ""
+	a := &AvgCaseLP{flp: p, samples: samples, tVars: tVars}
+	p.form = a
+	return a
 }
 
 // SetLocality re-targets the locality row (normalized units).
 func (a *AvgCaseLP) SetLocality(hNorm float64) { a.flp.SetLocality(hNorm) }
+
+// The driver's formulation hooks: cuts replay and sign as the flow LP's,
+// and separation is per sample (driver.go: separateSamples).
+func (a *AvgCaseLP) apply(e cutEntry) { a.flp.apply(e) }
+func (a *AvgCaseLP) sig() string      { return a.flp.sig() }
+
+func (a *AvgCaseLP) separate(ctx context.Context, sol *lp.Solution) (verdict, error) {
+	return a.flp.separateSamples(ctx, sol, a.flp.unfold(sol.X), a.samples, a.tVars)
+}
 
 // Solve runs the cutting-plane loop: each round, every sample whose true
 // maximum channel load exceeds its t variable contributes a cut for its
@@ -58,114 +77,12 @@ func (a *AvgCaseLP) Solve() (*Result, error) {
 	return a.SolveCtx(context.Background())
 }
 
-// SolveCtx is Solve under a cancellation context. The per-sample separation
-// (dense channel-load evaluation plus argmax) runs on Options.Workers
-// goroutines into per-sample slots; cuts are then added in sample order, so
-// the generated LP is identical for every worker count.
-//
-// Per-round solves retry through the cut log like the worst-case loops, and
-// exhausted budgets degrade to the best sampled iterate; Options.Checkpoint
-// is ignored because matrix cuts carry dense patterns that do not serialize.
+// SolveCtx is Solve under a cancellation context. Per-round solves retry
+// through the cut log like the worst-case loops, and exhausted budgets
+// degrade to the best sampled iterate; Options.Checkpoint is ignored
+// because matrix cuts do not serialize.
 func (a *AvgCaseLP) SolveCtx(ctx context.Context) (*Result, error) {
-	p := a.flp
-	tol := p.opts.tol()
-	res := &Result{}
-	worstCs := make([]int, len(a.samples))
-	worsts := make([]float64, len(a.samples))
-	var bestFlow *eval.Flow
-	var bestObj, bestMean float64
-	for round := 0; round < p.opts.rounds(); round++ {
-		res.Rounds = round
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return a.degradeAvg(res, bestFlow, bestObj, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return a.degradeAvg(res, bestFlow, bestObj,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: avg-case LP status %v at round %d", sol.Status, round)
-		}
-		res.Rounds = round + 1
-		res.Iterations += sol.Iterations
-		res.Refactorizations += sol.Diag.Refactorizations
-		flow := p.unfold(sol.X)
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(a.samples), p.opts.Workers, func(i int) error {
-				if err := oracleFault(); err != nil {
-					return err
-				}
-				loads := flow.ChannelLoads(a.samples[i])
-				worstC, worst := 0, 0.0
-				for c, l := range loads {
-					if l > worst {
-						worst, worstC = l, c
-					}
-				}
-				worstCs[i], worsts[i] = worstC, worst
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The sampled mean of the exact per-sample maxima is the true
-		// objective value of this iterate; track the best for degradation.
-		mean := 0.0
-		for _, w := range worsts {
-			mean += w
-		}
-		mean /= float64(len(a.samples))
-		if bestFlow == nil || mean < bestMean {
-			bestFlow, bestObj, bestMean = flow, mean, mean
-		}
-		violated := false
-		for i, lam := range a.samples {
-			if worsts[i] > sol.X[a.tVars[i]]+tol {
-				p.matrixCut(topo.Channel(worstCs[i]), lam, a.tVars[i])
-				violated = true
-			}
-		}
-		if !violated {
-			res.Flow = flow
-			res.Objective = sol.Objective
-			res.Certified = true
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			return res, nil
-		}
-	}
-	res.Rounds = p.opts.rounds()
-	return a.degradeAvg(res, bestFlow, bestObj,
-		fmt.Errorf("avg-case cutting planes did not converge in %d rounds", p.opts.rounds()))
-}
-
-// degradeAvg is the average-case degradation path: the best iterate's exact
-// worst case is re-evaluated off the (possibly expired) solve context, since
-// unlike the worst-case loops no oracle has computed it along the way.
-func (a *AvgCaseLP) degradeAvg(res *Result, flow *eval.Flow, obj float64, cause error) (*Result, error) {
-	if flow == nil {
-		return degrade(res, nil, 0, 0, cause)
-	}
-	gw, _, err := flow.WorstCaseCtx(context.Background(), a.flp.opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return degrade(res, flow, obj, gw, cause)
+	return a.flp.solve(ctx)
 }
 
 // AvgCaseOptimal minimizes the sampled mean maximum channel load with no

@@ -2,7 +2,6 @@ package design
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"tcr/internal/topo"
@@ -21,7 +20,7 @@ func BenchmarkFactorizeLoopBasis(b *testing.B) {
 				b.Fatal(err)
 			}
 			q := newPotentialLP(tp, false, Options{Workers: 1})
-			res, err := q.solve(context.Background(), math.NaN())
+			res, err := q.solve(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}

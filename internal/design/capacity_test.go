@@ -32,6 +32,9 @@ func TestCapacityFlowIsMinimalish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !res.Certified {
+		t.Fatalf("converged capacity LP not certified: %q", res.Reason)
+	}
 	if res.HNorm > 1+1e-6 {
 		t.Fatalf("capacity-optimal HNorm %v > 1", res.HNorm)
 	}

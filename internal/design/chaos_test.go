@@ -26,7 +26,7 @@ func TestChaosRetryRebuild(t *testing.T) {
 
 	q := newPotentialLP(tor, false, Options{})
 	q.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
-	res, err := q.solve(context.Background(), math.NaN())
+	res, err := q.solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestChaosRetryDisabled(t *testing.T) {
 	tor := topo.NewTorus(4)
 	q := newPotentialLP(tor, false, Options{Retries: -1})
 	q.solver.SetChaos(&lp.ChaosScript{Seed: 3, FailFactor: 1 << 20})
-	_, err := q.solve(context.Background(), math.NaN())
+	_, err := q.solve(context.Background())
 	if !errors.Is(err, lp.ErrNumerical) {
 		t.Fatalf("err = %v, want ErrNumerical", err)
 	}

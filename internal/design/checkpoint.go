@@ -23,12 +23,13 @@ import (
 // refactorization the restore path performs.
 //
 // The checkpoint identifies its run by a signature of the formulation
-// (topology, folding, cut strategy, locality target, lexicographic stage);
+// (topology and folding or path family, cut strategy, locality target,
+// lexicographic stage);
 // a file whose signature does not match is ignored and overwritten, so
 // pointing different runs at one path degrades to "no resume", never to a
 // wrong resume. Resume granularity is one cut loop: the lexicographic
-// design's stage 2 carries a distinct signature, so a run killed in stage
-// 2 re-runs stage 1 and resumes stage 2's accumulated state is discarded.
+// designs' stage 2 carries a distinct signature, so a run killed in stage 2
+// re-runs stage 1 and stage 2's accumulated state is discarded.
 
 // checkpointVersion invalidates checkpoints across incompatible solver or
 // formulation changes. ckpt-2 added the integrity hash field; ckpt-3
@@ -110,83 +111,115 @@ func (p *FlowLP) sig() string {
 		checkpointVersion, id, p.fold, p.opts.Cuts, p.ckptStage, p.opts.tol(), loc)
 }
 
-// writeCheckpoint snapshots the loop after `round` completed rounds. The
-// RefreshFactors barrier before capturing the basis is what makes the live
-// continuation and a later restore numerically identical. Logs with
-// non-serializable entries (average-case matrix cuts) are skipped.
-func (p *FlowLP) writeCheckpoint(round, iters int) error {
-	if p.opts.Checkpoint == "" || !p.serializable() {
+// sig fingerprints a path LP: the path family's label takes the place of
+// the folding and cut strategy, so a path-LP checkpoint never matches a
+// flow formulation's.
+func (p *PathLP) sig() string {
+	loc := ""
+	if p.hasH {
+		loc = fmt.Sprintf(" loc=%g", p.locNorm)
+	}
+	return fmt.Sprintf("%s k=%d path=%s stage=%d tol=%g%s",
+		checkpointVersion, p.T.K, p.label, p.ckptStage, p.opts.tol(), loc)
+}
+
+// writeSnapshot writes the loop's state after `round` completed rounds to
+// path: a resume checkpoint (Options.Checkpoint, every CheckpointEvery
+// rounds) or the final snapshot a later run warm-starts from
+// (Options.FinalSnapshot, on certification; its Round/Iters record the
+// certified run's totals, informational only). The RefreshFactors barrier
+// before capturing the basis is what makes the live continuation and a
+// later restore numerically identical. Logs with non-serializable entries
+// (average-case matrix cuts) are skipped.
+func (c *cutLP) writeSnapshot(path string, round, iters int) error {
+	if path == "" || !c.serializable() {
 		return nil
 	}
-	if err := p.solver.RefreshFactors(); err != nil {
-		return fmt.Errorf("design: checkpoint barrier: %w", err)
+	if err := c.solver.RefreshFactors(); err != nil {
+		return fmt.Errorf("design: snapshot barrier: %w", err)
 	}
 	ck := checkpoint{
-		Sig:     p.sig(),
+		Sig:     c.form.sig(),
 		Round:   round,
 		Iters:   iters,
-		Cuts:    p.cutLog,
-		Basis:   p.solver.Basis(),
-		Cursor:  p.solver.PricingCursor(),
-		AtUpper: p.solver.AtUpperSet(),
+		Cuts:    c.cutLog,
+		Basis:   c.solver.Basis(),
+		Cursor:  c.solver.PricingCursor(),
+		AtUpper: c.solver.AtUpperSet(),
 	}
 	if ck.Cuts == nil {
 		ck.Cuts = []cutEntry{}
 	}
 	data, err := ck.seal()
 	if err != nil {
-		return fmt.Errorf("design: checkpoint encode: %w", err)
+		return fmt.Errorf("design: snapshot encode: %w", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(p.opts.Checkpoint), 0o755); err != nil {
-		return fmt.Errorf("design: checkpoint dir: %w", err)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("design: snapshot dir: %w", err)
 	}
 	// Temp + fsync + rename + directory sync: a crash mid-write leaves the
-	// previous checkpoint intact, never a torn file.
-	if err := store.WriteFileAtomic(p.opts.Checkpoint, data, 0o644); err != nil {
-		return fmt.Errorf("design: checkpoint write: %w", err)
+	// previous snapshot intact, never a torn file.
+	if err := store.WriteFileAtomic(path, data, 0o644); err != nil {
+		return fmt.Errorf("design: snapshot write: %w", err)
 	}
 	return nil
 }
 
-// restoreCheckpoint loads and installs a matching checkpoint, returning the
+// restore installs the snapshot at path into a fresh cut loop: replay its
+// cuts, install its basis, at-upper set and pricing cursor, and return the
 // round to resume from and the pivots already spent. ok is false — and the
-// loop starts from scratch — when no usable checkpoint exists (missing or
-// unreadable file, failed integrity hash, signature mismatch, corrupt
-// basis). A restore that
-// fails midway rolls the solver back to its fresh pre-restore state.
-func (p *FlowLP) restoreCheckpoint() (round, iters int, ok bool) {
-	if p.opts.Checkpoint == "" {
+// loop starts cold — when no usable snapshot exists (missing or unreadable
+// file, failed integrity hash, signature mismatch, corrupt basis); a
+// restore that fails midway rolls the solver back to its pre-restore state.
+//
+// A warm start (Options.WarmFrom) accepts a snapshot whose signature
+// differs only in the locality target (see stripLoc), then re-aims the
+// locality row at this run's target: the recorded retargets replay as-is and
+// the fresh one, appended through the cut log, overwrites them exactly as a
+// Pareto sweep's SetLocality does. Its caller restarts the round count at
+// zero, so the round count reports the incremental work.
+func (c *cutLP) restore(path string, warm bool) (round, iters int, ok bool) {
+	if path == "" {
 		return 0, 0, false
 	}
-	data, err := os.ReadFile(p.opts.Checkpoint)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false
 	}
 	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() || ck.Sig != p.sig() {
+	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() {
+		return 0, 0, false
+	}
+	got, want := ck.Sig, c.form.sig()
+	if warm {
+		got, want = stripLoc(got), stripLoc(want)
+	}
+	if got != want {
 		return 0, 0, false
 	}
 	for _, e := range ck.Cuts {
-		if e.Kind == cutMatrix || (e.Kind == cutPair && (e.Block < 0 || e.Block >= len(p.blocks))) {
+		if e.Kind == cutMatrix || (e.Kind == cutPair && (e.Block < 0 || e.Block >= len(c.blocks))) {
 			return 0, 0, false
 		}
 	}
-	savedLog := p.cutLog
-	p.cutLog = ck.Cuts
-	p.rebuildSolver()
+	savedLog := c.cutLog
+	c.cutLog = ck.Cuts
+	c.rebuildSolver()
 	// The at-upper set must be in place before InstallBasis: the basic
 	// values it recomputes depend on which nonbasic columns sit at bounds.
-	if err := p.solver.SetAtUpperSet(ck.AtUpper); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
+	err = c.solver.SetAtUpperSet(ck.AtUpper)
+	if err == nil {
+		err = c.solver.InstallBasis(ck.Basis)
+	}
+	if err != nil {
+		c.cutLog = savedLog
+		c.rebuildSolver()
 		return 0, 0, false
 	}
-	if err := p.solver.InstallBasis(ck.Basis); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return 0, 0, false
+	c.solver.SetPricingCursor(ck.Cursor)
+	if warm && c.hasH {
+		c.record(cutEntry{Kind: cutLoc, Val: c.locNorm})
 	}
-	p.solver.SetPricingCursor(ck.Cursor)
 	return ck.Round, ck.Iters, true
 }
 
@@ -202,98 +235,13 @@ func stripLoc(sig string) string {
 	return sig
 }
 
-// writeFinalSnapshot persists the cut loop's state at certification to
-// Options.FinalSnapshot for a later run to warm-start from. Same layout and
-// integrity seal as a checkpoint; Round/Iters record the certified run's
-// totals (informational — a warm start restarts the round count at zero).
-func (p *FlowLP) writeFinalSnapshot(round, iters int) error {
-	if p.opts.FinalSnapshot == "" || !p.serializable() {
-		return nil
-	}
-	if err := p.solver.RefreshFactors(); err != nil {
-		return fmt.Errorf("design: final-snapshot barrier: %w", err)
-	}
-	ck := checkpoint{
-		Sig:     p.sig(),
-		Round:   round,
-		Iters:   iters,
-		Cuts:    p.cutLog,
-		Basis:   p.solver.Basis(),
-		Cursor:  p.solver.PricingCursor(),
-		AtUpper: p.solver.AtUpperSet(),
-	}
-	if ck.Cuts == nil {
-		ck.Cuts = []cutEntry{}
-	}
-	data, err := ck.seal()
-	if err != nil {
-		return fmt.Errorf("design: final-snapshot encode: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(p.opts.FinalSnapshot), 0o755); err != nil {
-		return fmt.Errorf("design: final-snapshot dir: %w", err)
-	}
-	if err := store.WriteFileAtomic(p.opts.FinalSnapshot, data, 0o644); err != nil {
-		return fmt.Errorf("design: final-snapshot write: %w", err)
-	}
-	return nil
-}
-
-// restoreWarmStart installs the Options.WarmFrom snapshot into a fresh cut
-// loop: replay the prior run's cuts, install its basis, at-upper set, and
-// pricing cursor, then re-aim the locality row (if any) at this run's
-// target — the recorded locality retargets are replayed as-is and the fresh
-// retarget, appended through the cut log, overwrites them exactly as a
-// Pareto sweep's SetLocality does. The signature must match up to the
-// locality component; anything unusable (torn file, failed integrity hash,
-// foreign formulation, corrupt basis) means a cold start, never a wrong
-// warm one. ok is informational; callers may ignore it.
-func (p *FlowLP) restoreWarmStart() (ok bool) {
-	if p.opts.WarmFrom == "" {
-		return false
-	}
-	data, err := os.ReadFile(p.opts.WarmFrom)
-	if err != nil {
-		return false
-	}
-	var ck checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil || !ck.verify() {
-		return false
-	}
-	if stripLoc(ck.Sig) != stripLoc(p.sig()) {
-		return false
-	}
-	for _, e := range ck.Cuts {
-		if e.Kind == cutMatrix || (e.Kind == cutPair && (e.Block < 0 || e.Block >= len(p.blocks))) {
-			return false
-		}
-	}
-	savedLog := p.cutLog
-	p.cutLog = append([]cutEntry(nil), ck.Cuts...)
-	p.rebuildSolver()
-	if err := p.solver.SetAtUpperSet(ck.AtUpper); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return false
-	}
-	if err := p.solver.InstallBasis(ck.Basis); err != nil {
-		p.cutLog = savedLog
-		p.rebuildSolver()
-		return false
-	}
-	p.solver.SetPricingCursor(ck.Cursor)
-	if p.hasH {
-		p.record(cutEntry{Kind: cutLoc, Val: p.locNorm})
-	}
-	return true
-}
-
 // clearCheckpoint removes the checkpoint after a certified finish, so a
 // later run with the same path starts clean.
-func (p *FlowLP) clearCheckpoint() error {
-	if p.opts.Checkpoint == "" {
+func (c *cutLP) clearCheckpoint() error {
+	if c.opts.Checkpoint == "" {
 		return nil
 	}
-	if err := os.Remove(p.opts.Checkpoint); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := os.Remove(c.opts.Checkpoint); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("design: checkpoint remove: %w", err)
 	}
 	return nil

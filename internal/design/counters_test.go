@@ -11,7 +11,8 @@ import (
 // TestIterationsSumPerSolve holds every cutting-plane entry point's reported
 // work totals against the solver's own per-solve counts: Result.Iterations
 // and Result.Refactorizations must be the sums of the Diagnostics fields
-// over the loop's LP solves, not the last round's counts.
+// over the loop's LP solves, not the last round's counts. The two-stage
+// designs (minloc, 2TURN, 2TURNA) report both stages' work.
 func TestIterationsSumPerSolve(t *testing.T) {
 	tor := topo.NewTorus(4)
 	samples := traffic.Sample(tor.N, 4, 17)
@@ -26,6 +27,9 @@ func TestIterationsSumPerSolve(t *testing.T) {
 		{"potentials.go", func(o Options) (*Result, error) { return WorstCaseOptimal(tor, o) }},
 		{"avgcase.go", func(o Options) (*Result, error) { return AvgCaseOptimal(tor, samples, o) }},
 		{"capacity.go", func(o Options) (*Result, error) { return Capacity(tor, o) }},
+		{"minloc", func(o Options) (*Result, error) { return MinLocalityAtWorstCase(tor, o) }},
+		{"2turn", func(o Options) (*Result, error) { return pathResult(DesignTwoTurn(tor, o)) }},
+		{"2turna", func(o Options) (*Result, error) { return pathResult(DesignTwoTurnAvg(tor, samples, o)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,6 +42,9 @@ func TestIterationsSumPerSolve(t *testing.T) {
 			res, err := tc.run(opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !res.Certified {
+				t.Errorf("uncertified: %s", res.Reason)
 			}
 			if solves != res.Rounds {
 				t.Errorf("%d solves observed for %d rounds", solves, res.Rounds)
@@ -72,4 +79,12 @@ func TestWorstCaseRoundsTakeNoBlandPivots(t *testing.T) {
 	if bland != 0 {
 		t.Errorf("%d Bland pivots over %d round solves, want 0", bland, solves)
 	}
+}
+
+// pathResult unwraps a path design's Result.
+func pathResult(r *PathResult, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &r.Result, nil
 }

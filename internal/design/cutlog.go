@@ -3,6 +3,7 @@ package design
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"tcr/internal/lp"
@@ -12,8 +13,10 @@ import (
 
 // This file is the design layer's half of the numerical-resilience story.
 // Every solver mutation made after construction (permutation cuts, lazy
-// pair rows, locality retargets, the lexicographic stage-2 objective flip)
-// is recorded in a structured log. The log serves two masters:
+// pair rows, dense-pattern cuts, locality retargets, the lexicographic
+// stage-2 cap and objective flip) is recorded in a structured log; each
+// formulation replays an entry in its own variables (FlowLP.apply,
+// PathLP.apply). The log serves two masters:
 //
 //   - retry-with-backoff: when a round's LP solve dies with lp.ErrNumerical
 //     even after the solver's own recovery ladder, the design loop rebuilds
@@ -68,6 +71,7 @@ func (p *FlowLP) apply(e cutEntry) {
 		// which matches the semantics of stacked w <= val rows (the
 		// tightest wins) while keeping the basis square.
 		p.solver.SetVarUpper(p.wVar, e.Val)
+		p.wCap = e.Val
 	case cutObjLen:
 		for ci, cm := range p.comms {
 			for c := 0; c < p.nc; c++ {
@@ -81,15 +85,15 @@ func (p *FlowLP) apply(e cutEntry) {
 }
 
 // record logs an entry and applies it to the live solver.
-func (p *FlowLP) record(e cutEntry) {
-	p.cutLog = append(p.cutLog, e)
-	p.apply(e)
+func (c *cutLP) record(e cutEntry) {
+	c.cutLog = append(c.cutLog, e)
+	c.form.apply(e)
 }
 
 // serializable reports whether the log can round-trip through a checkpoint
 // (average-case matrix cuts carry dense patterns and cannot).
-func (p *FlowLP) serializable() bool {
-	for _, e := range p.cutLog {
+func (c *cutLP) serializable() bool {
+	for _, e := range c.cutLog {
 		if e.Kind == cutMatrix {
 			return false
 		}
@@ -98,12 +102,20 @@ func (p *FlowLP) serializable() bool {
 }
 
 // rebuildSolver discards the current solver and reconstructs an equivalent
-// one from the base model plus the cut log. Used after a numerical failure
-// (fresh internal state) and when restoring a checkpoint.
-func (p *FlowLP) rebuildSolver() {
-	p.solver = lp.NewSolver(p.Model())
-	for _, e := range p.cutLog {
-		p.apply(e)
+// one from the base model plus the cut log, resetting the state the log
+// derives (the stage-2 cap, the pair rows present). Used after a numerical
+// failure (fresh internal state) and when restoring a checkpoint.
+func (c *cutLP) rebuildSolver() {
+	c.solver = lp.NewSolver(c.baseModel())
+	if c.noJitter {
+		c.solver.SetJitter(false)
+	}
+	c.wCap = math.NaN()
+	for _, b := range c.blocks {
+		clear(b.added)
+	}
+	for _, e := range c.cutLog {
+		c.form.apply(e)
 	}
 }
 
@@ -130,19 +142,19 @@ func sleepBackoff(ctx context.Context, attempt int) error {
 // up to Options.Retries times after an exponential backoff, each time on a
 // freshly rebuilt solver with the cut log replayed. Any other error class
 // is returned as is.
-func (p *FlowLP) solveRound(ctx context.Context) (*lp.Solution, error) {
+func (c *cutLP) solveRound(ctx context.Context) (*lp.Solution, error) {
 	var lastErr error
-	for attempt := 0; attempt <= p.opts.retries(); attempt++ {
+	for attempt := 0; attempt <= c.opts.retries(); attempt++ {
 		if attempt > 0 {
 			if err := sleepBackoff(ctx, attempt-1); err != nil {
 				return nil, err
 			}
-			p.rebuildSolver()
+			c.rebuildSolver()
 		}
-		sol, err := p.solver.SolveCtx(ctx)
+		sol, err := c.solver.SolveCtx(ctx)
 		if err == nil {
-			if p.opts.onSolve != nil {
-				p.opts.onSolve(sol.Diag)
+			if c.opts.onSolve != nil {
+				c.opts.onSolve(sol.Diag)
 			}
 			return sol, nil
 		}
@@ -154,12 +166,12 @@ func (p *FlowLP) solveRound(ctx context.Context) (*lp.Solution, error) {
 	return nil, lastErr
 }
 
-// separate runs a cutting-plane round's separation step (the Hungarian
-// oracles) with the same retry policy: oracle failures are retried after a
-// backoff, since the oracle is stateless. Context errors abort immediately.
-func (p *FlowLP) separate(ctx context.Context, f func() error) error {
+// oracle runs a cutting-plane round's separation oracles with the same
+// retry policy: oracle failures are retried after a backoff, since the
+// oracle is stateless. Context errors abort immediately.
+func (c *cutLP) oracle(ctx context.Context, f func() error) error {
 	var lastErr error
-	for attempt := 0; attempt <= p.opts.retries(); attempt++ {
+	for attempt := 0; attempt <= c.opts.retries(); attempt++ {
 		if attempt > 0 {
 			if err := sleepBackoff(ctx, attempt-1); err != nil {
 				return err

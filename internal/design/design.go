@@ -46,7 +46,6 @@ import (
 
 	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/matching"
 	"tcr/internal/par"
 	"tcr/internal/topo"
 	"tcr/internal/traffic"
@@ -129,11 +128,14 @@ type Options struct {
 	// exponential backoff. 0 selects the default of 2; negative disables
 	// retries.
 	Retries int
-	// Checkpoint, when non-empty, is a file path the worst-case cut loops
-	// snapshot their state to (accumulated cuts, simplex basis, pricing
-	// cursor), so a killed run restarted with the same path resumes bit
-	// for bit instead of recomputing. See checkpoint.go for the exact
-	// resume semantics. Average-case loops ignore it.
+	// Checkpoint, when non-empty, is a file path the cut loops snapshot
+	// their state to (accumulated cuts, simplex basis, pricing cursor), so
+	// a killed run restarted with the same path resumes bit for bit instead
+	// of recomputing: the worst-case flow designs and the 2TURN path design,
+	// each stage of a two-stage design under its own signature. See
+	// checkpoint.go for the exact resume semantics. Average-case loops
+	// (including 2TURNA and the capacity LP) ignore it, since their dense
+	// sample cuts do not serialize.
 	Checkpoint string
 	// CheckpointEvery is the snapshot cadence in cutting-plane rounds
 	// (default 1: every round).
@@ -215,54 +217,31 @@ type commodity struct {
 
 // FlowLP is a flow-based routing design LP under a symmetry folding. It
 // carries the variable layout, the pair-to-variable automorphism maps, and
-// the warm-startable solver.
+// the warm-startable solver state shared with every design LP (cutLP).
 type FlowLP struct {
+	cutLP
 	T    topo.Topology
 	fold Fold
-	// n and nc cache T.Nodes() and T.Chans().
-	n, nc int
-	// grp is the folding group (full or translation, per fold); seps are
-	// the separation oracle's representative channels -- one per channel
-	// orbit of the translation subgroup.
+	// nc caches T.Chans().
+	nc int
+	// grp is the folding group (full or translation, per fold); the
+	// separation oracle's representative channels (cutLP.seps) are one per
+	// channel orbit of the translation subgroup.
 	grp   topo.AutGroup
-	seps  []topo.Channel
 	comms []commodity
 	// pairComm[s*N+d] / pairAut[s*N+d]: the commodity index and the
 	// automorphism mapping pair (s, d) onto it; -1 for self pairs.
 	pairComm []int
 	pairAut  []topo.AutID
-
-	// model is the base LP the solver was built from. The lazy-row loop
-	// drops it once its restores are done, since it duplicates the
-	// solver's own matrix (0.1-0.2 MB on the larger design LPs), and
-	// newModel rebuilds it for the rare retry that needs it again.
-	model    *lp.Model
-	newModel func() *lp.Model
-	solver   *lp.Solver
-	wVar     lp.VarID // the max-load variable
-	hRow     lp.RowID // locality budget row, -1 when absent
-	hasH     bool
-
-	// blocks are the matching-dual potential blocks when the LP was built
-	// by newPotentialLP; nil for the pure cutting-plane formulation.
-	blocks []*potBlock
-
-	// cutLog records every post-construction solver mutation for replay
-	// (retry rebuilds and checkpoint restores; see cutlog.go).
-	cutLog []cutEntry
-	// ckptStage distinguishes the lexicographic design's stages in the
-	// checkpoint signature; locNorm is the current locality target.
-	ckptStage int
-	locNorm   float64
-
-	opts Options
 }
 
 // newBareFlowLP builds the folding state (commodities, pair maps, separation
 // representatives) without any LP model; the construction entry points add
 // their own variables and rows on top.
 func newBareFlowLP(t topo.Topology, opts Options) *FlowLP {
-	p := &FlowLP{T: t, n: t.Nodes(), nc: t.Chans(), fold: opts.Fold, opts: opts, hRow: -1}
+	p := &FlowLP{T: t, nc: t.Chans(), fold: opts.Fold}
+	p.cutLP = cutLP{n: t.Nodes(), hRow: -1, wCap: math.NaN(), opts: opts}
+	p.form = p
 	if p.fold == FoldTranslation {
 		p.grp = t.TransGroup()
 	} else {
@@ -431,30 +410,6 @@ func (p *FlowLP) pairLoadVar(s, d int, c topo.Channel) lp.VarID {
 	return p.varID(ci, p.grp.ApplyChan(p.pairAut[idx], c))
 }
 
-// SetLocality re-targets the locality row at normalized average path length
-// hNorm (1 = minimal, 2 = twice minimal).
-func (p *FlowLP) SetLocality(hNorm float64) {
-	if !p.hasH {
-		//lint:ignore libpanic caller bug, not a data condition: every in-package caller builds the LP with a locality row
-		panic("design: SetLocality on an LP built without a locality row")
-	}
-	p.locNorm = hNorm
-	p.record(cutEntry{Kind: cutLoc, Val: hNorm})
-}
-
-// loadCut appends the constraint gamma_c(R, Lambda) <= bound (the w
-// variable or a sample's t variable) for a traffic pattern given as a
-// permutation or dense matrix.
-func (p *FlowLP) permCut(c topo.Channel, perm []int, bound lp.VarID) {
-	e := cutEntry{Kind: cutPerm, Ch: int(c), Perm: append([]int(nil), perm...), Bound: int(bound)}
-	p.record(e)
-}
-
-// matrixCut appends gamma_c(R, Lambda) <= bound for a dense pattern.
-func (p *FlowLP) matrixCut(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) {
-	p.record(cutEntry{Kind: cutMatrix, Ch: int(c), Bound: int(bound), mat: lam})
-}
-
 // matrixCutTerms builds the dense-pattern load cut's terms.
 func (p *FlowLP) matrixCutTerms(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) []lp.Term {
 	terms := make([]lp.Term, 0, p.n*p.n/4)
@@ -515,10 +470,11 @@ type Result struct {
 	GammaWC float64
 	// HAvg is the average path length in hops; HNorm normalized.
 	HAvg, HNorm float64
-	// Rounds is the number of cutting-plane iterations used.
+	// Rounds is the number of cutting-plane iterations used (over both
+	// stages of a two-stage design).
 	Rounds int
 	// Iterations is the total simplex pivot count over every round's LP
-	// solve (carried across a checkpoint resume).
+	// solve (over both stages, and carried across a checkpoint resume).
 	Iterations int
 	// Refactorizations is the total basis refactorization count over the
 	// round solves this call performed (a checkpoint resume starts it
@@ -534,138 +490,12 @@ type Result struct {
 	Reason string
 }
 
-// degrade packages the best iterate seen so far as an uncertified Result
-// when a budget (rounds, simplex pivots, deadline) runs out. With no
-// feasible iterate to fall back on, the cause surfaces as an error wrapping
-// ErrUncertified. Any checkpoint is left in place so the run can be resumed
-// with a larger budget.
-func degrade(res *Result, flow *eval.Flow, obj, gammaWC float64, cause error) (*Result, error) {
-	if flow == nil {
-		return nil, fmt.Errorf("%w: %v", ErrUncertified, cause)
-	}
-	res.Flow = flow
-	res.Objective = obj
-	res.GammaWC = gammaWC
-	res.HAvg = flow.HAvg()
-	res.HNorm = flow.HNorm()
-	res.Certified = false
-	res.Reason = cause.Error()
-	return res, nil
-}
-
-// solveWorstCase runs the cutting-plane loop on the current LP state:
-// minimize the current objective subject to flow constraints and generated
-// permutation cuts, until the Hungarian oracle certifies that no permutation
-// loads any channel beyond the LP's bound variable by more than tol.
-//
-// The per-representative Hungarian oracles are independent and run on
-// Options.Workers goroutines; cuts are then added sequentially in
-// representative order, so the generated LP -- and hence the solve
-// trajectory -- is identical for every worker count.
-func (p *FlowLP) solveWorstCase(ctx context.Context) (*Result, error) {
-	tol := p.opts.tol()
-	var last *lp.Solution
-	res := &Result{}
-	perms := make([][]int, len(p.seps))
-	gammas := make([]float64, len(p.seps))
-	startRound := 0
-	if r, it, ok := p.restoreCheckpoint(); ok {
-		startRound, res.Iterations = r, it
-	} else {
-		p.restoreWarmStart()
-	}
-	// The best iterate so far — the one with the smallest exact
-	// (oracle-evaluated) worst-case load — backs graceful degradation.
-	var bestFlow *eval.Flow
-	var bestObj, bestGW float64
-	for round := startRound; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: LP status %v at round %d", sol.Status, round)
-		}
-		last = sol
-		res.Rounds = round + 1
-		res.Iterations += sol.Iterations
-		res.Refactorizations += sol.Diag.Refactorizations
-		flow := p.unfold(sol.X)
-		w := sol.X[p.wVar]
-
-		// Separation: worst permutation per channel-orbit representative of
-		// the translation subgroup (translation invariance covers the rest;
-		// without it, every channel is its own representative).
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(p.seps), p.opts.Workers, func(i int) error {
-				if err := oracleFault(); err != nil {
-					return err
-				}
-				perm, g, err := matching.MaxWeightAssignment(pairLoadMatrix(flow, p.seps[i]))
-				if err != nil {
-					return err
-				}
-				perms[i], gammas[i] = perm, g
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		gw := gammas[0]
-		for _, g := range gammas[1:] {
-			gw = math.Max(gw, g)
-		}
-		if bestFlow == nil || gw < bestGW {
-			bestFlow, bestObj, bestGW = flow, sol.Objective, gw
-		}
-		violated := false
-		for i := range p.seps {
-			if gammas[i] > w+tol*math.Max(1, w) {
-				p.permCut(p.seps[i], perms[i], p.wVar)
-				violated = true
-			}
-		}
-		if !violated {
-			res.Flow = flow
-			res.Objective = last.Objective
-			res.Certified = true
-			var err error
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			if err := p.writeFinalSnapshot(res.Rounds, res.Iterations); err != nil {
-				return nil, err
-			}
-			if err := p.clearCheckpoint(); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		if (round+1)%p.opts.ckptEvery() == 0 {
-			if err := p.writeCheckpoint(round+1, res.Iterations); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return degrade(res, bestFlow, bestObj, bestGW,
-		fmt.Errorf("cutting planes did not converge in %d rounds", p.opts.rounds()))
+// separate is the pure cutting-plane formulation's separation step: one
+// worst-permutation cut per violated representative channel (translation
+// invariance covers the rest; without it, every channel is its own
+// representative).
+func (p *FlowLP) separate(ctx context.Context, sol *lp.Solution) (verdict, error) {
+	return p.separateWorst(ctx, sol, p.unfold(sol.X), rowPolicy{permCut: true})
 }
 
 // pairLoadMatrix mirrors eval's internal pair-load matrix for the oracle:
@@ -711,11 +541,9 @@ func WorstCaseOptimal(t topo.Topology, opts Options) (*Result, error) {
 // solve aborts between cutting-plane rounds once ctx is done.
 func WorstCaseOptimalCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
 	if opts.Cuts == CutPermutations {
-		p := NewFlowLP(t, false, opts)
-		return p.solveWorstCase(ctx)
+		return NewFlowLP(t, false, opts).solve(ctx)
 	}
-	q := newPotentialLP(t, false, opts)
-	return q.solve(ctx, math.NaN())
+	return newPotentialLP(t, false, opts).solve(ctx)
 }
 
 // WorstCaseAtLocality designs the best worst-case routing function whose
@@ -730,11 +558,11 @@ func WorstCaseAtLocalityCtx(ctx context.Context, t topo.Topology, hNorm float64,
 	if opts.Cuts == CutPermutations {
 		p := NewFlowLP(t, true, opts)
 		p.SetLocality(hNorm)
-		return p.solveWorstCase(ctx)
+		return p.solve(ctx)
 	}
 	q := newPotentialLP(t, true, opts)
 	q.SetLocality(hNorm)
-	return q.solve(ctx, math.NaN())
+	return q.solve(ctx)
 }
 
 // ParetoPoint is one sample of an optimal tradeoff curve.
@@ -796,25 +624,15 @@ func WorstCaseParetoCurveCtx(ctx context.Context, t topo.Topology, hNorms []floa
 		return out, nil
 	}
 	out := make([]ParetoPoint, 0, len(hNorms))
+	var p *cutLP
 	if opts.Cuts == CutPermutations {
-		p := NewFlowLP(t, true, opts)
-		for _, h := range hNorms {
-			p.SetLocality(h)
-			res, err := p.solveWorstCase(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("L=%v: %w", h, err)
-			}
-			if !res.Certified {
-				return nil, fmt.Errorf("L=%v: %w: %s", h, ErrUncertified, res.Reason)
-			}
-			out = append(out, ParetoPoint{HNorm: h, Theta: (1 / res.GammaWC) / cap, Gamma: res.GammaWC})
-		}
-		return out, nil
+		p = &NewFlowLP(t, true, opts).cutLP
+	} else {
+		p = &newPotentialLP(t, true, opts).cutLP
 	}
-	q := newPotentialLP(t, true, opts)
 	for _, h := range hNorms {
-		q.SetLocality(h)
-		res, err := q.solve(ctx, math.NaN())
+		p.SetLocality(h)
+		res, err := p.solve(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("L=%v: %w", h, err)
 		}
@@ -838,37 +656,17 @@ func MinLocalityAtWorstCase(t topo.Topology, opts Options) (*Result, error) {
 // context.
 func MinLocalityAtWorstCaseCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
 	q := newPotentialLP(t, false, opts)
-	stage1, err := q.solve(ctx, math.NaN())
-	if err != nil {
-		return nil, err
-	}
-	if !stage1.Certified {
-		// Without a certified w* there is no sound stage-2 cap; degrade
-		// to the best stage-1 routing instead of minimizing locality
-		// against a bound that may be wrong.
-		stage1.Reason = "stage 1: " + stage1.Reason
-		return stage1, nil
-	}
-	wStar := stage1.Objective * (1 + opts.slack())
-
-	// Stage 2: cap w, flip the objective to total (orbit-weighted) path
-	// length, and resume lazy-row generation at the fixed load bound. Both
-	// mutations go through the cut log so retry rebuilds and checkpoints
-	// replay them; the stage bump keeps stage-2 checkpoints from ever
-	// restoring into a stage-1 loop.
-	p := q.FlowLP
-	p.ckptStage = 2
-	p.record(cutEntry{Kind: cutCapW, Val: wStar})
-	p.record(cutEntry{Kind: cutObjLen})
-
-	res, err := q.solve(ctx, wStar)
-	if err != nil {
-		return nil, fmt.Errorf("design: stage 2: %w", err)
-	}
-	// Report rounds across both stages and H in the objective.
-	res.Rounds += stage1.Rounds
-	if !res.Certified {
-		res.Reason = "stage 2: " + res.Reason
-	}
-	return res, nil
+	return lexicographic(
+		func() (*Result, error) { return q.solve(ctx) },
+		func(stage1 *Result) (*Result, error) {
+			// Stage 2: cap w, flip the objective to total (orbit-weighted)
+			// path length, and resume lazy-row generation at the fixed load
+			// bound. Both mutations go through the cut log so retry rebuilds
+			// and checkpoints replay them; the stage bump keeps stage-2
+			// checkpoints from ever restoring into a stage-1 loop.
+			q.ckptStage = 2
+			q.record(cutEntry{Kind: cutCapW, Val: stage1.Objective * (1 + opts.slack())})
+			q.record(cutEntry{Kind: cutObjLen})
+			return q.solve(ctx)
+		})
 }

@@ -1,8 +1,12 @@
 package design
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"tcr/internal/eval"
 	"tcr/internal/routing"
@@ -134,9 +138,8 @@ func TestMinLocalityAtWorstCase(t *testing.T) {
 }
 
 func TestDesignTwoTurnK4MatchesOptimal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two-stage 2TURN path LP takes ~35s; skipped in -short (the race gate)")
-	}
+	// ~1s (~14s under -race); kept in -short so the race gate covers the
+	// path LP's concurrent oracle.
 	// Section 5.2 / Figure 4: for k = 4 (and 6), 2TURN exactly matches the
 	// optimal locality at maximal worst-case throughput.
 	tor := topo.NewTorus(4)
@@ -162,6 +165,40 @@ func TestDesignTwoTurnK4MatchesOptimal(t *testing.T) {
 	gw, _ := f.WorstCase()
 	if math.Abs(gw-tt.GammaWC) > 1e-6 {
 		t.Fatalf("table worst case %v vs reported %v", gw, tt.GammaWC)
+	}
+}
+
+// TestDesignTwoTurnDeadline: the path LPs solve under the context, so a
+// deadline that lands inside a long simplex solve (here k=5's first stage-2
+// solve, ~18k pivots) ends it at the next pivot batch rather than after the
+// solve. The design then degrades: an uncertified result naming its stage,
+// or, without a stage-2 iterate to fall back on, an ErrUncertified error.
+func TestDesignTwoTurnDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test; skipped in -short (the race gate)")
+	}
+	const deadline, grace = 1500 * time.Millisecond, 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now() //lint:ignore randsource the test measures wall time; nothing reaches a result
+	res, err := DesignTwoTurnCtx(ctx, topo.NewTorus(5), Options{Workers: 1})
+	elapsed := time.Since(start) //lint:ignore randsource the test measures wall time; nothing reaches a result
+	if elapsed > deadline+grace {
+		t.Errorf("returned after %v, deadline %v", elapsed, deadline)
+	}
+	switch {
+	case err != nil:
+		if !errors.Is(err, ErrUncertified) {
+			t.Fatalf("err = %v, want ErrUncertified", err)
+		}
+		t.Logf("after %v: %v", elapsed, err)
+	case res.Certified:
+		t.Logf("certified within the deadline (%v)", elapsed)
+	default:
+		if !strings.HasPrefix(res.Reason, "stage ") || res.Table == nil {
+			t.Fatalf("degraded result: reason %q, table %v", res.Reason, res.Table != nil)
+		}
+		t.Logf("after %v: %s", elapsed, res.Reason)
 	}
 }
 
@@ -225,7 +262,7 @@ func TestAvgCaseLocalityConstraintBinds(t *testing.T) {
 
 func TestDesignTwoTurnAvg(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2TURNA + 2TURN path LPs take ~34s; skipped in -short (the race gate)")
+		t.Skip("2TURNA + 2TURN path LPs take ~1s (~14s under -race); skipped in -short")
 	}
 	tor := topo.NewTorus(4)
 	samples := traffic.Sample(tor.N, 8, 31)

@@ -15,12 +15,7 @@ import (
 // locality row), rebuilding it if the lazy-row loop has dropped it. The
 // model is solver-independent: callers may construct any number of
 // lp.Solvers from it.
-func (p *FlowLP) Model() *lp.Model {
-	if p.model == nil {
-		return p.newModel()
-	}
-	return p.model
-}
+func (p *FlowLP) Model() *lp.Model { return p.baseModel() }
 
 // WVar returns the max-channel-load variable the design objective minimizes.
 func (p *FlowLP) WVar() lp.VarID { return p.wVar }

@@ -75,7 +75,7 @@ func TestMeshWorstCaseOptimal(t *testing.T) {
 // from its checkpoint, whose cut log holds the lazily added pair rows, to
 // the uninterrupted checkpointing run bit for bit.
 func TestCheckpointResumeMesh(t *testing.T) {
-	killAndResume(t, mustMesh(t, "mesh:3x4"), 4, func(ck *checkpoint) {
+	killAndResume(t, wcopt(mustMesh(t, "mesh:3x4")), 4, func(ck *checkpoint) {
 		for _, e := range ck.Cuts {
 			if e.Kind == cutPair {
 				return

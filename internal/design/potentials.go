@@ -2,15 +2,10 @@ package design
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
-	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/matching"
-	"tcr/internal/par"
 	"tcr/internal/topo"
 )
 
@@ -42,23 +37,12 @@ type potBlock struct {
 	added map[int]bool // s*N+d pairs already constrained
 }
 
-// addPotentialBlocks extends the model with potential variables and the sum
-// rows sum(u)+sum(v) <= w for each of the LP's separation representatives
-// (p.seps — full-group channel orbits when the symmetrized non-transitive
-// folding is active, translation orbits otherwise). Must run before the
-// solver is constructed.
-func (p *FlowLP) addPotentialBlocks(m *lp.Model) []*potBlock {
-	return potentialBlocksFor(m, p.T, p.seps, p.wVar)
-}
-
-// addPotentialBlocks is the formulation-independent block builder: one block
-// per channel-orbit representative of the topology's translation subgroup.
-func addPotentialBlocks(m *lp.Model, t topo.Topology, wVar lp.VarID) []*potBlock {
-	return potentialBlocksFor(m, t, t.TransGroup().ChanOrbitReps(), wVar)
-}
-
-// potentialBlocksFor builds one potential block per given representative.
-func potentialBlocksFor(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
+// addPotentialBlocks extends the model with one potential block per given
+// separation representative (FlowLP: full-group channel orbits when the
+// symmetrized non-transitive folding is active, translation orbits
+// otherwise; PathLP: translation orbits) and its sum row
+// sum(u)+sum(v) <= w. Must run before the solver is constructed.
+func addPotentialBlocks(m *lp.Model, t topo.Topology, reps []topo.Channel, wVar lp.VarID) []*potBlock {
 	n := t.Nodes()
 	blocks := make([]*potBlock, 0, len(reps))
 	for bi, ch := range reps {
@@ -88,12 +72,7 @@ func blockLabel(t topo.Topology, ch topo.Channel) any {
 	return int(ch)
 }
 
-// pairRow adds the lazy constraint load_{s,d}(c) - u_s - v_d <= 0.
-func (p *FlowLP) pairRow(b *potBlock, s, d int) {
-	p.record(cutEntry{Kind: cutPair, Block: b.idx, S: s, D: d})
-}
-
-// pairRowTerms builds a lazy pair row's terms.
+// pairRowTerms builds the lazy pair row load_{s,d}(c) - u_s - v_d <= 0.
 func (p *FlowLP) pairRowTerms(b *potBlock, s, d int) []lp.Term {
 	return []lp.Term{
 		{Var: p.pairLoadVar(s, d, b.ch), Coef: 1},
@@ -162,7 +141,7 @@ func violatedPairs(n int, b *potBlock, x []float64, load [][]float64, tol float6
 	return out
 }
 
-// potentialLP marks a FlowLP built with potential blocks (FlowLP.blocks).
+// potentialLP marks a FlowLP built with potential blocks (cutLP.blocks).
 type potentialLP struct {
 	*FlowLP
 }
@@ -179,7 +158,9 @@ func newPotentialLP(t topo.Topology, withLocality bool, opts Options) *potential
 	}
 	p.solver = lp.NewSolver(m)
 	p.blocks = blocks
-	return &potentialLP{FlowLP: p}
+	q := &potentialLP{FlowLP: p}
+	p.form = q
+	return q
 }
 
 // potentialModel builds the base model of LP (8) — flow variables, the load
@@ -189,7 +170,7 @@ func (p *FlowLP) potentialModel(withLocality bool) (*lp.Model, []*potBlock) {
 	m := lp.NewModel()
 	p.addFlowVars(m)
 	p.wVar = m.AddVar(1, "w")
-	blocks := p.addPotentialBlocks(m)
+	blocks := addPotentialBlocks(m, p.T, p.seps, p.wVar)
 	p.addConservation(m, false)
 	p.addSymmetry(m)
 	if withLocality {
@@ -203,173 +184,23 @@ func (p *FlowLP) potentialModel(withLocality bool) (*lp.Model, []*potBlock) {
 // most 2N rows; this cap keeps the very first rounds lean.
 const maxRowsPerBlockRound = 128
 
-// solve runs the lazy-row loop: solve, add the most violated pair rows per
-// block, and finish when the Hungarian oracle certifies the bound. The
-// boundVar-capped variant (stage 2) passes a fixed numeric bound instead of
-// reading w from the solution.
+// separate is LP (8)'s separation step: the Hungarian oracle certifies
+// every block against the LP bound (w, or the stage-2 cap), and each fed
+// violated block gets one aggregate permutation cut, which moves the bound
+// immediately, plus its most violated pair rows, which supply the
+// matching-dual structure.
 //
-// The per-block pair-load matrices and Hungarian matchings are independent
-// and run on Options.Workers goroutines; the certification scan and the row
-// additions that follow read the per-block slots in block order, so the cut
-// sequence is identical for every worker count.
-//
-// Each round's LP solve goes through the retry ladder (cutlog.go), the loop
-// checkpoints its state per Options.Checkpoint, and exhausted budgets
-// degrade to the best iterate seen rather than failing (design.go: degrade).
-func (q *potentialLP) solve(ctx context.Context, fixedBound float64) (*Result, error) {
-	p := q.FlowLP
-	tol := p.opts.tol()
-	res := &Result{}
-	loads := make([][][]float64, len(p.blocks))
-	perms := make([][]int, len(p.blocks))
-	gammas := make([]float64, len(p.blocks))
-	startRound, cumIters := 0, 0
-	if r, it, ok := p.restoreCheckpoint(); ok {
-		startRound, cumIters = r, it
-	} else {
-		p.restoreWarmStart()
-	}
-	// From here only a retry rebuilds the solver, and it can rebuild the
-	// base model too: keeping it would hold a second copy of the matrix
-	// through every round.
-	p.model = nil
-	var bestFlow *eval.Flow
-	var bestObj, bestGW float64
-	for round := startRound; round < p.opts.rounds(); round++ {
-		res.Rounds, res.Iterations = round, cumIters
-		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW, err)
-		}
-		sol, err := p.solveRound(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status == lp.IterLimit {
-			if err := ctx.Err(); errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return degrade(res, bestFlow, bestObj, bestGW,
-				fmt.Errorf("simplex budget exhausted at round %d (%s)", round, sol.Diag.Summary()))
-		}
-		if sol.Status != lp.Optimal {
-			return nil, fmt.Errorf("design: potential LP status %v at round %d", sol.Status, round)
-		}
-		cumIters += sol.Iterations
-		res.Refactorizations += sol.Diag.Refactorizations
-		res.Rounds, res.Iterations = round+1, cumIters
-		flow := p.unfold(sol.X)
-		bound := fixedBound
-		if math.IsNaN(bound) {
-			bound = sol.X[p.wVar]
-		}
-		// Certify every block with the Hungarian oracle, then add lazy
-		// rows only for the worst-violated block: under the symmetry
-		// folding the representative blocks are near-copies, and feeding
-		// them all every round multiplies the LP for no information.
-		err = p.separate(ctx, func() error {
-			return par.Do(ctx, len(p.blocks), p.opts.Workers, func(bi int) error {
-				if err := oracleFault(); err != nil {
-					return err
-				}
-				loads[bi] = pairLoadMatrix(flow, p.blocks[bi].ch)
-				perm, g, err := matching.MaxWeightAssignment(loads[bi])
-				if err != nil {
-					return err
-				}
-				perms[bi], gammas[bi] = perm, g
-				return nil
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		gw := gammas[0]
-		for _, g := range gammas[1:] {
-			gw = math.Max(gw, g)
-		}
-		if bestFlow == nil || gw < bestGW {
-			bestFlow, bestObj, bestGW = flow, sol.Objective, gw
-		}
-		certified := true
-		limit := bound + tol*math.Max(1, bound)
-		worstBlock, worstG := -1, limit
-		for bi := range p.blocks {
-			if gammas[bi] > limit {
-				certified = false
-			}
-			if gammas[bi] > worstG {
-				worstG, worstBlock = gammas[bi], bi
-			}
-		}
-		if certified {
-			res.Flow = flow
-			res.Objective = sol.Objective
-			res.Certified = true
-			res.GammaWC, _, err = flow.WorstCaseCtx(ctx, p.opts.Workers)
-			if err != nil {
-				return nil, err
-			}
-			res.HAvg = flow.HAvg()
-			res.HNorm = flow.HNorm()
-			if err := p.writeFinalSnapshot(res.Rounds, res.Iterations); err != nil {
-				return nil, err
-			}
-			if err := p.clearCheckpoint(); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		progressed := false
-		if p.T.VertexTransitive() {
-			if worstBlock >= 0 {
-				b := p.blocks[worstBlock]
-				// One aggregate permutation cut moves the bound immediately;
-				// the pair rows supply the matching-dual structure. Under the
-				// symmetry folding the representative blocks are near-copies,
-				// so feeding only the worst one each round keeps the LP lean
-				// without slowing convergence.
-				p.permCut(b.ch, perms[worstBlock], p.wVar)
-				for i, idx := range violatedPairs(p.n, b, sol.X, loads[worstBlock], tol) {
-					if i >= maxRowsPerBlockRound {
-						break
-					}
-					p.pairRow(b, idx/p.n, idx%p.n)
-					progressed = true
-				}
-				progressed = true
-			}
-		} else {
-			// Without translation symmetry every channel is its own block and
-			// the blocks are genuinely independent, so starving all but the
-			// worst one multiplies the round count by the channel count. Feed
-			// every violated block.
-			for bi, b := range p.blocks {
-				if gammas[bi] <= limit {
-					continue
-				}
-				p.permCut(b.ch, perms[bi], p.wVar)
-				for i, idx := range violatedPairs(p.n, b, sol.X, loads[bi], tol) {
-					if i >= maxRowsPerBlockRound {
-						break
-					}
-					p.pairRow(b, idx/p.n, idx%p.n)
-				}
-				progressed = true
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("design: oracle violated but no pair rows to add (numerical trouble)")
-		}
-		if (round+1)%p.opts.ckptEvery() == 0 {
-			if err := p.writeCheckpoint(round+1, cumIters); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res.Rounds, res.Iterations = p.opts.rounds(), cumIters
-	return degrade(res, bestFlow, bestObj, bestGW,
-		fmt.Errorf("potential LP did not converge in %d rounds", p.opts.rounds()))
+// On vertex-transitive topologies only the worst-violated block is fed:
+// under the symmetry folding the representative blocks are near-copies,
+// and feeding them all every round multiplies the LP for no information.
+// Without translation symmetry every channel is its own block and the
+// blocks are genuinely independent, so starving all but the worst one
+// would multiply the round count by the channel count; every violated
+// block is fed.
+func (q *potentialLP) separate(ctx context.Context, sol *lp.Solution) (verdict, error) {
+	return q.separateWorst(ctx, sol, q.unfold(sol.X), rowPolicy{
+		worstOnly: q.T.VertexTransitive(),
+		rows:      maxRowsPerBlockRound,
+		permCut:   true,
+	})
 }

@@ -19,22 +19,41 @@ import (
 // reproduces the uninterrupted run bit for bit — same objective, flow,
 // exact worst-case load, round count, and final pivot count.
 func TestCheckpointResumeK4(t *testing.T) {
-	killAndResume(t, topo.NewTorus(4), 6, nil)
+	killAndResume(t, wcopt(topo.NewTorus(4)), 6, nil)
 }
 
-// killAndResume runs tp's worst-case-optimal design three ways — an
-// uninterrupted checkpointing reference, a run killed after killRounds,
-// and a resume of the killed run's checkpoint — and fails the test unless
-// the resume reproduces the reference bit for bit. inspect, when non-nil,
-// sees the killed run's checkpoint before the resume.
-func killAndResume(t *testing.T, tp topo.Topology, killRounds int, inspect func(*checkpoint)) {
+// TestCheckpointResumeTwoTurn: a 2TURN run killed in stage 1 resumes from
+// its path-LP checkpoint to the uninterrupted checkpointing run bit for
+// bit, through both stages.
+func TestCheckpointResumeTwoTurn(t *testing.T) {
+	tor := topo.NewTorus(4)
+	killAndResume(t, func(o Options) (*Result, error) {
+		return pathResult(DesignTwoTurn(tor, o))
+	}, 3, func(ck *checkpoint) {
+		if !strings.Contains(ck.Sig, " path=2TURN ") {
+			t.Errorf("2TURN checkpoint signature %q does not name the path family", ck.Sig)
+		}
+	})
+}
+
+// wcopt is the worst-case-optimal design of tp as a killAndResume subject.
+func wcopt(tp topo.Topology) func(Options) (*Result, error) {
+	return func(o Options) (*Result, error) { return WorstCaseOptimal(tp, o) }
+}
+
+// killAndResume runs a design three ways — an uninterrupted checkpointing
+// reference, a run killed after killRounds, and a resume of the killed
+// run's checkpoint — and fails the test unless the resume reproduces the
+// reference bit for bit. inspect, when non-nil, sees the killed run's
+// checkpoint before the resume.
+func killAndResume(t *testing.T, design func(Options) (*Result, error), killRounds int, inspect func(*checkpoint)) {
 	t.Helper()
 	dir := t.TempDir()
 
 	// Reference: an uninterrupted checkpointing run. (The checkpoint write
 	// barrier refactorizes each round, so the reference must checkpoint
 	// too — a no-checkpoint run is a different, equally valid trajectory.)
-	full, err := WorstCaseOptimal(tp, Options{Checkpoint: filepath.Join(dir, "ref.ckpt")})
+	full, err := design(Options{Checkpoint: filepath.Join(dir, "ref.ckpt")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +63,7 @@ func killAndResume(t *testing.T, tp topo.Topology, killRounds int, inspect func(
 
 	// Killed run: same formulation, round budget too small to certify.
 	ckpt := filepath.Join(dir, "wc.ckpt")
-	partial, err := WorstCaseOptimal(tp, Options{Checkpoint: ckpt, MaxRounds: killRounds})
+	partial, err := design(Options{Checkpoint: ckpt, MaxRounds: killRounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +86,7 @@ func killAndResume(t *testing.T, tp topo.Topology, killRounds int, inspect func(
 	}
 
 	// Resume with the default budget and compare against the reference.
-	resumed, err := WorstCaseOptimal(tp, Options{Checkpoint: ckpt})
+	resumed, err := design(Options{Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +308,7 @@ func TestPotentialModelRebuild(t *testing.T) {
 		if err := q.Model().WriteMPS(&orig, tc.spec); err != nil {
 			t.Fatal(err)
 		}
-		res, err := q.solve(context.Background(), math.NaN())
+		res, err := q.solve(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

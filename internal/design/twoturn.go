@@ -7,8 +7,6 @@ import (
 
 	"tcr/internal/eval"
 	"tcr/internal/lp"
-	"tcr/internal/matching"
-	"tcr/internal/par"
 	"tcr/internal/paths"
 	"tcr/internal/routing"
 	"tcr/internal/topo"
@@ -22,10 +20,14 @@ type PathFamily func(t *topo.Torus, s, d topo.Node) []paths.Path
 
 // PathLP is a path-based routing design problem over a family of candidate
 // paths from the canonical source to every relative destination, with
-// constraint-generated worst-case or average-case load bounds.
+// constraint-generated worst-case or average-case load bounds. It runs on
+// the same driver, cut log and checkpoints as the flow formulations; its
+// cut entries apply in path variables.
 type PathLP struct {
-	T    *topo.Torus
-	opts Options
+	cutLP
+	T *topo.Torus
+	// label names the path family in the checkpoint signature.
+	label string
 
 	rels   []topo.Node // relative destinations, 1..N-1
 	pths   [][]paths.Path
@@ -33,13 +35,7 @@ type PathLP struct {
 	varOf  [][]lp.VarID
 	lens   [][]int
 
-	solver *lp.Solver
-	wVar   lp.VarID
-	tVars  []lp.VarID
-	hRow   lp.RowID
-	hasH   bool
-	blocks []*potBlock // matching-dual potentials (worst-case mode)
-
+	tVars   []lp.VarID
 	samples []*traffic.Matrix
 }
 
@@ -47,8 +43,11 @@ type PathLP struct {
 // per destination, objective min w or min mean(t) when samples are given).
 // It fails if the family produces no path for some destination: the caller
 // supplies the family, so an empty one is a data condition, not a bug.
+// Sampled path LPs carry dense-pattern cuts and never checkpoint, so their
+// snapshot options are cleared.
 func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, withLocality bool, opts Options) (*PathLP, error) {
-	p := &PathLP{T: t, opts: opts, samples: samples, hRow: -1}
+	p := &PathLP{T: t, samples: samples}
+	p.cutLP = cutLP{form: p, n: t.N, hRow: -1, wCap: math.NaN(), opts: opts}
 	words := (t.C + 63) / 64
 	m := lp.NewModel()
 	for rel := 1; rel < t.N; rel++ {
@@ -77,8 +76,10 @@ func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, with
 	p.wVar = m.AddVar(0, "w")
 	if samples == nil {
 		m.SetObj(p.wVar, 1)
-		p.blocks = addPotentialBlocks(m, t, p.wVar)
+		p.seps = t.TransGroup().ChanOrbitReps()
+		p.blocks = addPotentialBlocks(m, t, p.seps, p.wVar)
 	} else {
+		p.opts.Checkpoint, p.opts.WarmFrom, p.opts.FinalSnapshot = "", "", ""
 		inv := 1 / float64(len(samples))
 		p.tVars = make([]lp.VarID, len(samples))
 		for i := range samples {
@@ -106,22 +107,71 @@ func NewPathLP(t *topo.Torus, family PathFamily, samples []*traffic.Matrix, with
 		p.hRow = m.AddRow(terms, lp.LE, float64(t.N)*t.MeanMinDist(), "H")
 		p.hasH = true
 	}
-	p.solver = lp.NewSolver(m)
+	p.model = m
 	// Path LPs have enormous, harmless optimal faces (any optimal vertex
 	// is an equally valid probability weighting); the anti-degeneracy cost
 	// jitter would make the simplex chase a noise-optimal vertex across
-	// that face, so switch it off here.
-	p.solver.SetJitter(false)
+	// that face, so every solver of this LP runs with it off.
+	p.noJitter = true
+	p.rebuildSolver()
 	return p, nil
 }
 
-// SetLocality re-targets the locality row (normalized units).
-func (p *PathLP) SetLocality(hNorm float64) {
-	if !p.hasH {
-		//lint:ignore libpanic caller bug, not a data condition: every in-package caller builds the LP with a locality row
-		panic("design: SetLocality on a path LP built without a locality row")
+// apply replays one cut-log entry in path variables. The stage-2 cap bounds
+// w on a worst-case path LP and the mean of the t variables on a sampled
+// one; the objective flip zeroes whichever of them stage 1 minimized.
+func (p *PathLP) apply(e cutEntry) {
+	switch e.Kind {
+	case cutPair:
+		b := p.blocks[e.Block]
+		p.solver.AddCut(p.pairRowTerms(b, e.S, e.D), lp.LE, 0)
+		b.added[e.S*p.n+e.D] = true
+	case cutMatrix:
+		p.solver.AddCut(p.matrixCutTerms(topo.Channel(e.Ch), e.mat, lp.VarID(e.Bound)), lp.LE, 0)
+	case cutCapW:
+		if p.samples == nil {
+			// A variable bound, not a cut row: bounded-simplex state
+			// instead of one more basis row.
+			p.solver.SetVarUpper(p.wVar, e.Val)
+			p.wCap = e.Val
+			return
+		}
+		inv := 1 / float64(len(p.samples))
+		terms := make([]lp.Term, len(p.tVars))
+		for i, v := range p.tVars {
+			terms[i] = lp.Term{Var: v, Coef: inv}
+		}
+		p.solver.AddCut(terms, lp.LE, e.Val)
+	case cutObjLen:
+		for ri := range p.rels {
+			for i, v := range p.varOf[ri] {
+				p.solver.SetObjCoef(v, float64(p.lens[ri][i]))
+			}
+		}
+		if p.samples == nil {
+			p.solver.SetObjCoef(p.wVar, 0)
+		}
+		for _, v := range p.tVars {
+			p.solver.SetObjCoef(v, 0)
+		}
+	case cutLoc:
+		p.solver.SetRHS(int(p.hRow), e.Val*float64(p.T.N)*p.T.MeanMinDist())
 	}
-	p.solver.SetRHS(int(p.hRow), hNorm*float64(p.T.N)*p.T.MeanMinDist())
+}
+
+// separate maps the LP solution to its flow and runs the average-case
+// separation on a sampled path LP, the worst-case one otherwise. Unlike the
+// flow formulation (whose conservation base is large), the path LP's base
+// is only one row per destination, so growing every violated block each
+// round is cheap and cuts round count. Aggregate permutation cuts are NOT
+// added here: their rows are dense in path variables and bloat every
+// subsequent pricing pass.
+func (p *PathLP) separate(ctx context.Context, sol *lp.Solution) (verdict, error) {
+	flow := p.flowOf(sol.X)
+	if p.samples != nil {
+		return p.separateSamples(ctx, sol, flow, p.samples, p.tVars)
+	}
+	return p.separateWorst(ctx, sol, flow, rowPolicy{rows: 48})
 }
 
 // pathUses reports whether path (ri, i) crosses channel c.
@@ -132,33 +182,8 @@ func (p *PathLP) pathUses(ri, i int, c topo.Channel) bool {
 // relIndex maps a relative destination node to its slice index (rel-1).
 func (p *PathLP) relIndex(rel topo.Node) int { return int(rel) - 1 }
 
-// loadTerms returns the LP terms of gamma_c(R, Lambda) for a pattern given
-// as entries (s, d, coef).
-func (p *PathLP) permCut(c topo.Channel, perm []int, bound lp.VarID) {
-	t := p.T
-	var terms []lp.Term
-	ux, uy := t.Coord(t.ChanSrc(c))
-	dir := t.ChanDir(c)
-	for s, d := range perm {
-		if s == d {
-			continue
-		}
-		sx, sy := t.Coord(topo.Node(s))
-		tc := t.Chan(t.NodeAt(ux-sx, uy-sy), dir)
-		rx, ry := t.Rel(topo.Node(s), topo.Node(d))
-		ri := p.relIndex(t.NodeAt(rx, ry))
-		for i, v := range p.varOf[ri] {
-			if p.pathUses(ri, i, tc) {
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
-			}
-		}
-	}
-	terms = append(terms, lp.Term{Var: bound, Coef: -1})
-	p.solver.AddCut(terms, lp.LE, 0)
-}
-
-// matrixCut adds gamma_c(R, Lambda) <= bound for a dense pattern.
-func (p *PathLP) matrixCut(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) {
+// matrixCutTerms builds gamma_c(R, Lambda) <= bound for a dense pattern.
+func (p *PathLP) matrixCutTerms(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) []lp.Term {
 	t := p.T
 	var terms []lp.Term
 	ux, uy := t.Coord(t.ChanSrc(c))
@@ -180,8 +205,7 @@ func (p *PathLP) matrixCut(c topo.Channel, lam *traffic.Matrix, bound lp.VarID) 
 			}
 		}
 	}
-	terms = append(terms, lp.Term{Var: bound, Coef: -1})
-	p.solver.AddCut(terms, lp.LE, 0)
+	return append(terms, lp.Term{Var: bound, Coef: -1})
 }
 
 // table converts an LP solution into a routing table (dropping
@@ -223,22 +247,18 @@ func (p *PathLP) flowOf(x []float64) *eval.Flow {
 	return f
 }
 
-// PathResult bundles a designed path-based algorithm with its metrics.
+// PathResult is a path-based design's Result plus its executable routing
+// table. Objective is the final stage's LP objective (total path length)
+// for 2TURN and the mean maximum load for 2TURNA; an uncertified result
+// carries the best iterate's table.
 type PathResult struct {
+	Result
 	Table *routing.Table
-	Flow  *eval.Flow
-	// Objective of the final stage's LP (worst-case load, mean max load,
-	// or total path length depending on the stage).
-	Objective float64
-	GammaWC   float64
-	HAvg      float64
-	HNorm     float64
-	Rounds    int
 }
 
-// pairRowPath adds the lazy potential constraint
+// pairRowTerms builds the lazy potential constraint
 // load_{s,d}(c) - u_s - v_d <= 0 in path variables.
-func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
+func (p *PathLP) pairRowTerms(b *potBlock, s, d int) []lp.Term {
 	t := p.T
 	ux, uy := t.Coord(t.ChanSrc(b.ch))
 	sx, sy := t.Coord(topo.Node(s))
@@ -251,124 +271,24 @@ func (p *PathLP) pairRowPath(b *potBlock, s, d int) {
 			terms = append(terms, lp.Term{Var: v, Coef: 1})
 		}
 	}
-	terms = append(terms,
+	return append(terms,
 		lp.Term{Var: b.u + lp.VarID(s), Coef: -1},
 		lp.Term{Var: b.v + lp.VarID(d), Coef: -1},
 	)
-	p.solver.AddCut(terms, lp.LE, 0)
-	b.added[s*t.N+d] = true
-}
-
-// solveWC runs worst-case constraint generation against the given bound
-// using the matching-dual potential formulation (lazy pair rows). When
-// fixedBound is NaN the w variable is free (stage 1); otherwise rows must
-// hold at the fixed numeric bound (stage 2). The per-block oracles run on
-// Options.Workers goroutines; rows are added in block order afterwards, so
-// the cut sequence is worker-count independent.
-func (p *PathLP) solveWC(ctx context.Context, fixedBound float64) (*lp.Solution, int, error) {
-	tol := p.opts.tol()
-	loads := make([][][]float64, len(p.blocks))
-	gammas := make([]float64, len(p.blocks))
-	for round := 0; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, round, err
-		}
-		sol, err := p.solver.Solve()
-		if err != nil {
-			return nil, round, err
-		}
-		if sol.Status != lp.Optimal {
-			return nil, round, fmt.Errorf("design: path LP status %v", sol.Status)
-		}
-		flow := p.flowOf(sol.X)
-		bound := fixedBound
-		if math.IsNaN(bound) {
-			bound = sol.X[p.wVar]
-		}
-		// Unlike the flow formulation (whose conservation base is large),
-		// the path LP's base is only one row per destination, so growing
-		// every violated block each round is cheap and cuts round count.
-		// Aggregate permutation cuts are NOT added here: their rows are
-		// dense in path variables and bloat every subsequent pricing pass.
-		err = par.Do(ctx, len(p.blocks), p.opts.Workers, func(bi int) error {
-			loads[bi] = pairLoadMatrix(flow, p.blocks[bi].ch)
-			_, g, err := matching.MaxWeightAssignment(loads[bi])
-			if err != nil {
-				return err
-			}
-			gammas[bi] = g
-			return nil
-		})
-		if err != nil {
-			return nil, round, err
-		}
-		certified := true
-		limit := bound + tol*math.Max(1, bound)
-		progressed := false
-		for bi, b := range p.blocks {
-			if gammas[bi] <= limit {
-				continue
-			}
-			certified = false
-			for i, idx := range violatedPairs(p.T.N, b, sol.X, loads[bi], tol) {
-				if i >= 48 {
-					break
-				}
-				p.pairRowPath(b, idx/p.T.N, idx%p.T.N)
-				progressed = true
-			}
-		}
-		if certified {
-			return sol, round + 1, nil
-		}
-		if !progressed {
-			return nil, round, fmt.Errorf("design: path LP oracle violated but no rows to add")
-		}
-	}
-	return nil, p.opts.rounds(), fmt.Errorf("design: path LP cuts did not converge")
 }
 
 // DesignTwoTurn produces the 2TURN algorithm (Section 5.2): over all
 // at-most-two-turn paths, first minimize worst-case channel load, then
 // minimize average path length while keeping the worst case within
-// Options.Slack of optimal.
+// Options.Slack of optimal. Budgets degrade as for MinLocalityAtWorstCase:
+// an uncertified result names its stage.
 func DesignTwoTurn(t *topo.Torus, opts Options) (*PathResult, error) {
 	return DesignTwoTurnCtx(context.Background(), t, opts)
 }
 
 // DesignTwoTurnCtx is DesignTwoTurn under a cancellation context.
 func DesignTwoTurnCtx(ctx context.Context, t *topo.Torus, opts Options) (*PathResult, error) {
-	return designPathWC(ctx, t, paths.TwoTurnPaths, "2TURN", opts)
-}
-
-// designPathWC is the two-stage (worst case, then locality) path design.
-func designPathWC(ctx context.Context, t *topo.Torus, family PathFamily, label string, opts Options) (*PathResult, error) {
-	slack := opts.slack()
-	p, err := NewPathLP(t, family, nil, false, opts)
-	if err != nil {
-		return nil, err
-	}
-	sol, rounds1, err := p.solveWC(ctx, math.NaN())
-	if err != nil {
-		return nil, err
-	}
-	wStar := sol.X[p.wVar] * (1 + slack)
-
-	// Stage 2: cap w, objective becomes total path length.
-	// The cap is a variable bound, not a cut row: bounded-simplex state
-	// instead of one more basis row.
-	p.solver.SetVarUpper(p.wVar, wStar)
-	for ri := range p.rels {
-		for i, v := range p.varOf[ri] {
-			p.solver.SetObjCoef(v, float64(p.lens[ri][i]))
-		}
-	}
-	p.solver.SetObjCoef(p.wVar, 0)
-	sol, rounds2, err := p.solveWC(ctx, wStar)
-	if err != nil {
-		return nil, err
-	}
-	return p.finish(ctx, sol, label, rounds1+rounds2)
+	return designPath(ctx, t, paths.TwoTurnPaths, "2TURN", nil, opts)
 }
 
 // DesignTwoTurnAvg produces the 2TURNA algorithm (Section 5.4): over the
@@ -380,122 +300,50 @@ func DesignTwoTurnAvg(t *topo.Torus, samples []*traffic.Matrix, opts Options) (*
 
 // DesignTwoTurnAvgCtx is DesignTwoTurnAvg under a cancellation context.
 func DesignTwoTurnAvgCtx(ctx context.Context, t *topo.Torus, samples []*traffic.Matrix, opts Options) (*PathResult, error) {
-	return designPathAvg(ctx, t, paths.TwoTurnPaths, "2TURNA", samples, opts)
+	return designPath(ctx, t, paths.TwoTurnPaths, "2TURNA", samples, opts)
 }
 
 // DesignMinimalAvg runs the 2TURNA construction restricted to minimal
 // paths; Section 5.4 observes the result matches ROMM's performance.
 func DesignMinimalAvg(t *topo.Torus, samples []*traffic.Matrix, opts Options) (*PathResult, error) {
-	return designPathAvg(context.Background(), t, paths.MinimalTwoTurnPaths, "MIN-AVG", samples, opts)
+	return designPath(context.Background(), t, paths.MinimalTwoTurnPaths, "MIN-AVG", samples, opts)
 }
 
-func designPathAvg(ctx context.Context, t *topo.Torus, family PathFamily, label string, samples []*traffic.Matrix, opts Options) (*PathResult, error) {
-	slack := opts.slack()
+// designPath is the two-stage path design: first optimize the load (the
+// worst case, or the sampled mean maximum when samples are given), then
+// minimize total path length with that load capped within Options.Slack.
+func designPath(ctx context.Context, t *topo.Torus, family PathFamily, label string, samples []*traffic.Matrix, opts Options) (*PathResult, error) {
 	p, err := NewPathLP(t, family, samples, false, opts)
 	if err != nil {
 		return nil, err
 	}
-	sol, rounds1, err := p.solveAvg(ctx, math.NaN())
-	if err != nil {
-		return nil, err
-	}
-	vStar := sol.Objective * (1 + slack)
-
-	// Stage 2: bound the mean of the t variables, minimize path length.
-	inv := 1 / float64(len(samples))
-	terms := make([]lp.Term, len(p.tVars))
-	for i, v := range p.tVars {
-		terms[i] = lp.Term{Var: v, Coef: inv}
-	}
-	p.solver.AddCut(terms, lp.LE, vStar)
-	for ri := range p.rels {
-		for i, v := range p.varOf[ri] {
-			p.solver.SetObjCoef(v, float64(p.lens[ri][i]))
-		}
-	}
-	for _, v := range p.tVars {
-		p.solver.SetObjCoef(v, 0)
-	}
-	sol, rounds2, err := p.solveAvg(ctx, vStar)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.finish(ctx, sol, label, rounds1+rounds2)
-	if err != nil {
-		return nil, err
-	}
-	// Report the stage-1 objective (mean max load) as the result objective.
-	var mean float64
-	for _, v := range p.tVars {
-		mean += sol.X[v] * inv
-	}
-	res.Objective = mean
-	return res, nil
-}
-
-// solveAvg runs per-sample constraint generation. fixedCap (when not NaN)
-// is informational only; per-sample bounds are the t variables either way.
-// The per-sample separations run on Options.Workers goroutines into
-// per-sample slots; cuts are added in sample order.
-func (p *PathLP) solveAvg(ctx context.Context, fixedCap float64) (*lp.Solution, int, error) {
-	_ = fixedCap
-	tol := p.opts.tol()
-	worstCs := make([]int, len(p.samples))
-	worsts := make([]float64, len(p.samples))
-	for round := 0; round < p.opts.rounds(); round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, round, err
-		}
-		sol, err := p.solver.Solve()
-		if err != nil {
-			return nil, round, err
-		}
-		if sol.Status != lp.Optimal {
-			return nil, round, fmt.Errorf("design: path avg LP status %v", sol.Status)
-		}
-		flow := p.flowOf(sol.X)
-		err = par.Do(ctx, len(p.samples), p.opts.Workers, func(i int) error {
-			loads := flow.ChannelLoads(p.samples[i])
-			worstC, worst := 0, 0.0
-			for c, l := range loads {
-				if l > worst {
-					worst, worstC = l, c
-				}
+	p.label = label
+	res, err := lexicographic(
+		func() (*Result, error) { return p.solve(ctx) },
+		func(stage1 *Result) (*Result, error) {
+			// Stage 2 caps w at its solved value, or the mean of the t
+			// variables at the stage-1 objective.
+			load := stage1.Objective
+			if samples == nil {
+				load = p.x[p.wVar]
 			}
-			worstCs[i], worsts[i] = worstC, worst
-			return nil
+			p.ckptStage = 2
+			p.record(cutEntry{Kind: cutCapW, Val: load * (1 + opts.slack())})
+			p.record(cutEntry{Kind: cutObjLen})
+			return p.solve(ctx)
 		})
-		if err != nil {
-			return nil, round, err
-		}
-		violated := false
-		for i, lam := range p.samples {
-			if worsts[i] > sol.X[p.tVars[i]]+tol {
-				p.matrixCut(topo.Channel(worstCs[i]), lam, p.tVars[i])
-				violated = true
-			}
-		}
-		if !violated {
-			return sol, round + 1, nil
-		}
-	}
-	return nil, p.opts.rounds(), fmt.Errorf("design: path avg LP cuts did not converge")
-}
-
-func (p *PathLP) finish(ctx context.Context, sol *lp.Solution, label string, rounds int) (*PathResult, error) {
-	tbl := p.table(sol.X, label)
-	flow := p.flowOf(sol.X)
-	gw, _, err := flow.WorstCaseCtx(ctx, p.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return &PathResult{
-		Table:     tbl,
-		Flow:      flow,
-		Objective: sol.Objective,
-		GammaWC:   gw,
-		HAvg:      flow.HAvg(),
-		HNorm:     flow.HNorm(),
-		Rounds:    rounds,
-	}, nil
+	if samples != nil && res.Certified {
+		// Report the stage-1 objective (mean max load) as the result
+		// objective.
+		inv := 1 / float64(len(samples))
+		var mean float64
+		for _, v := range p.tVars {
+			mean += p.x[v] * inv
+		}
+		res.Objective = mean
+	}
+	return &PathResult{Result: *res, Table: p.table(p.x, label)}, nil
 }

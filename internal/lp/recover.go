@@ -377,7 +377,10 @@ func (s *Solver) Basis() []int {
 // through the identical construction sequence (same model, same AddCut
 // replay). It factorizes the basis, recomputes the basic values, and marks
 // the solver warm with rows dirty, so the next Solve dual-warm-starts
-// exactly as the original solver would have after its last AddCut.
+// exactly as the original solver would have after its last AddCut. A basis
+// is captured right after a solve, so it is optimal for the objective the
+// replay rebuilt: objective changes replayed before the install (SetObjCoef,
+// SetJitter) do not count as pending, or the next Solve would restart cold.
 func (s *Solver) InstallBasis(cols []int) error {
 	if s.err != nil {
 		return s.err
@@ -425,5 +428,6 @@ func (s *Solver) InstallBasis(cols []int) error {
 	s.solvedOnce = true
 	s.lastStatus = Optimal
 	s.dirtyRows = true
+	s.dirtyObj = false
 	return nil
 }

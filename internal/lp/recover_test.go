@@ -133,55 +133,77 @@ func TestDiagErrorWrapsNumerical(t *testing.T) {
 	}
 }
 
+// TestBasisInstallRoundtrip: a restored solver continues bit for bit,
+// including when the replayed construction changed the objective (path LPs
+// switch the cost jitter off, a lexicographic stage flips the objective):
+// the installed basis is optimal for that objective, so the continuation
+// must still dual-warm-start rather than restart cold.
 func TestBasisInstallRoundtrip(t *testing.T) {
-	mdl := randomBoundedLP(25, 35, 17)
-	cut := []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 2}}
+	for _, tc := range []struct {
+		name  string
+		setup func(*Solver)
+	}{
+		{"plain", func(*Solver) {}},
+		{"objective replayed", func(s *Solver) {
+			s.SetJitter(false)
+			s.SetObjCoef(0, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mdl := randomBoundedLP(25, 35, 17)
+			cut := []Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 2}}
 
-	// Reference run: solve, add a cut (the checkpoint moment), then hit the
-	// checkpoint barrier and capture the basis state before finishing.
-	a := NewSolver(mdl)
-	if _, err := a.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	a.AddCut(cut, LE, 1.5)
-	if err := a.RefreshFactors(); err != nil {
-		t.Fatal(err)
-	}
-	basis := a.Basis()
-	if basis == nil {
-		t.Fatal("no basis after optimal solve")
-	}
-	cursor := a.PricingCursor()
-	want, err := a.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Reference run: solve, add a cut (the checkpoint moment), then
+			// hit the checkpoint barrier and capture the basis state before
+			// finishing.
+			a := NewSolver(mdl)
+			tc.setup(a)
+			if _, err := a.Solve(); err != nil {
+				t.Fatal(err)
+			}
+			a.AddCut(cut, LE, 1.5)
+			if err := a.RefreshFactors(); err != nil {
+				t.Fatal(err)
+			}
+			basis := a.Basis()
+			if basis == nil {
+				t.Fatal("no basis after optimal solve")
+			}
+			cursor := a.PricingCursor()
+			want, err := a.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Restored run: fresh solver, replay the cut, install the basis. The
-	// continuation must be bit-for-bit identical to the reference run's.
-	b := NewSolver(mdl)
-	b.AddCut(cut, LE, 1.5)
-	if err := b.InstallBasis(basis); err != nil {
-		t.Fatal(err)
-	}
-	b.SetPricingCursor(cursor)
-	got, err := b.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Status != want.Status {
-		t.Fatalf("restored solve status = %v, want %v", got.Status, want.Status)
-	}
-	if got.Objective != want.Objective {
-		t.Errorf("objective after InstallBasis = %.17g, want %.17g", got.Objective, want.Objective)
-	}
-	if got.Iterations != want.Iterations {
-		t.Errorf("restored solve pivoted %d times, reference %d", got.Iterations, want.Iterations)
-	}
-	for j := range want.X {
-		if got.X[j] != want.X[j] {
-			t.Fatalf("X[%d] = %.17g, want %.17g", j, got.X[j], want.X[j])
-		}
+			// Restored run: fresh solver, replay the construction and the
+			// cut, install the basis. The continuation must be bit-for-bit
+			// identical to the reference run's.
+			b := NewSolver(mdl)
+			tc.setup(b)
+			b.AddCut(cut, LE, 1.5)
+			if err := b.InstallBasis(basis); err != nil {
+				t.Fatal(err)
+			}
+			b.SetPricingCursor(cursor)
+			got, err := b.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Status != want.Status {
+				t.Fatalf("restored solve status = %v, want %v", got.Status, want.Status)
+			}
+			if got.Objective != want.Objective {
+				t.Errorf("objective after InstallBasis = %.17g, want %.17g", got.Objective, want.Objective)
+			}
+			if got.Iterations != want.Iterations {
+				t.Errorf("restored solve pivoted %d times, reference %d", got.Iterations, want.Iterations)
+			}
+			for j := range want.X {
+				if got.X[j] != want.X[j] {
+					t.Fatalf("X[%d] = %.17g, want %.17g", j, got.X[j], want.X[j])
+				}
+			}
+		})
 	}
 }
 

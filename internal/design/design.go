@@ -224,9 +224,7 @@ type FlowLP struct {
 	fold Fold
 	// nc caches T.Chans().
 	nc int
-	// grp is the folding group (full or translation, per fold); the
-	// separation oracle's representative channels (cutLP.seps) are one per
-	// channel orbit of the translation subgroup.
+	// grp is the folding group (full or translation, per fold).
 	grp   topo.AutGroup
 	comms []commodity
 	// pairComm[s*N+d] / pairAut[s*N+d]: the commodity index and the

@@ -30,6 +30,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !tt.Certified {
+		log.Fatalf("2TURN not certified: %s", tt.Reason)
+	}
 	m, err := tcr.Report(t, tt.Table, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -40,6 +43,9 @@ func main() {
 	opt, err := tcr.OptimalLocalityAtMaxWorstCase(t, tcr.DesignOptions{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if !opt.Certified {
+		log.Fatalf("optimal locality not certified: %s", opt.Reason)
 	}
 	fmt.Printf("unrestricted optimal at max worst case: locality %.4f\n", opt.HNorm)
 	fmt.Printf("gap: %.2f%% (the paper's Figure 4 shows 2TURN matching exactly at k=4)\n",

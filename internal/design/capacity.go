@@ -17,13 +17,8 @@ import (
 // Per-channel constraints are generated lazily: it is the average-case
 // problem on the single uniform "sample", with w as that sample's bound.
 func Capacity(t topo.Topology, opts Options) (*Result, error) {
-	return CapacityCtx(context.Background(), t, opts)
-}
-
-// CapacityCtx is Capacity under a cancellation context.
-func CapacityCtx(ctx context.Context, t topo.Topology, opts Options) (*Result, error) {
 	p := NewFlowLP(t, false, opts)
-	return newAvgCase(p, []*traffic.Matrix{traffic.Uniform(t.Nodes())}, []lp.VarID{p.wVar}).SolveCtx(ctx)
+	return newAvgCase(p, []*traffic.Matrix{traffic.Uniform(t.Nodes())}, []lp.VarID{p.wVar}).SolveCtx(context.Background())
 }
 
 // NetworkCapacityLP returns the LP-computed network capacity (throughput

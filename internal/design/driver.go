@@ -137,14 +137,11 @@ func (c *cutLP) solve(ctx context.Context) (*Result, error) {
 	for round := startRound; round < c.opts.rounds(); round++ {
 		res.Rounds, res.Iterations = round, cumIters
 		if err := ctx.Err(); err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil, err
-			}
-			return c.degrade(res, best, bestX, err)
+			return c.fail(ctx, res, best, bestX, err)
 		}
 		sol, err := c.solveRound(ctx)
 		if err != nil {
-			return nil, err
+			return c.fail(ctx, res, best, bestX, err)
 		}
 		if sol.Status == lp.IterLimit {
 			if err := ctx.Err(); errors.Is(err, context.Canceled) {
@@ -161,7 +158,7 @@ func (c *cutLP) solve(ctx context.Context) (*Result, error) {
 		res.Rounds, res.Iterations = round+1, cumIters
 		v, err := c.form.separate(ctx, sol)
 		if err != nil {
-			return nil, err
+			return c.fail(ctx, res, best, bestX, err)
 		}
 		if best.flow == nil || v.exact < best.exact {
 			best, bestX = v, sol.X
@@ -172,7 +169,7 @@ func (c *cutLP) solve(ctx context.Context) (*Result, error) {
 			res.Certified = true
 			res.GammaWC, _, err = v.flow.WorstCaseCtx(ctx, c.opts.Workers)
 			if err != nil {
-				return nil, err
+				return c.fail(ctx, res, best, bestX, err)
 			}
 			res.HAvg = v.flow.HAvg()
 			res.HNorm = v.flow.HNorm()
@@ -194,6 +191,17 @@ func (c *cutLP) solve(ctx context.Context) (*Result, error) {
 	res.Rounds, res.Iterations = c.opts.rounds(), cumIters
 	return c.degrade(res, best, bestX,
 		fmt.Errorf("cutting planes did not converge in %d rounds", c.opts.rounds()))
+}
+
+// fail ends a solve on err. When the context's deadline has expired under
+// it — at a round boundary, in a retry backoff, in the oracle or in the
+// certification pass — the run degrades like any other exhausted budget;
+// anything else, cancellation included, is an error.
+func (c *cutLP) fail(ctx context.Context, res *Result, best verdict, x []float64, err error) (*Result, error) {
+	if ctxErr := ctx.Err(); errors.Is(ctxErr, context.DeadlineExceeded) {
+		return c.degrade(res, best, x, ctxErr)
+	}
+	return nil, err
 }
 
 // degrade packages the best iterate seen so far as an uncertified Result

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcr/internal/lp"
 	"tcr/internal/topo"
 )
 
@@ -232,6 +233,95 @@ func TestDegradedWorstCase(t *testing.T) {
 	}
 	if res.HNorm <= 0 {
 		t.Errorf("degraded result missing locality metrics: HNorm=%v", res.HNorm)
+	}
+}
+
+// expiringCtx is a context whose deadline expires when the test says so,
+// letting a test place the expiry inside a chosen step of the round loop.
+type expiringCtx struct {
+	context.Context
+	done  chan struct{}
+	cause error
+}
+
+func newExpiringCtx(cause error) *expiringCtx {
+	return &expiringCtx{Context: context.Background(), done: make(chan struct{}), cause: cause}
+}
+
+func (c *expiringCtx) expire()               { close(c.done) }
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+func (c *expiringCtx) Err() error {
+	select {
+	case <-c.done:
+		return c.cause
+	default:
+		return nil
+	}
+}
+
+// expiringSeparator wraps a formulation and expires ctx inside a chosen
+// separation step: in the oracle of round expireRound, or, with
+// expireRound < 0, just after the oracle certifies (so the expiry lands in
+// the driver's certification pass).
+type expiringSeparator struct {
+	formulation
+	ctx         *expiringCtx
+	expireRound int
+	round       int
+}
+
+func (e *expiringSeparator) separate(ctx context.Context, sol *lp.Solution) (verdict, error) {
+	e.round++
+	if e.round == e.expireRound {
+		e.ctx.expire()
+		return verdict{}, ctx.Err()
+	}
+	v, err := e.formulation.separate(ctx, sol)
+	if err == nil && v.certified && e.expireRound < 0 {
+		e.ctx.expire()
+	}
+	return v, err
+}
+
+// TestDeadlineInOracleDegrades pins the deadline contract at every point a
+// deadline can land, not only between rounds or inside a simplex solve: a
+// deadline that expires in the oracle or in the certification pass degrades
+// to the best iterate, uncertified, while a cancellation there is an error.
+func TestDeadlineInOracleDegrades(t *testing.T) {
+	tor := topo.NewTorus(4)
+	for _, tc := range []struct {
+		name        string
+		cause       error
+		expireRound int
+	}{
+		{"oracle deadline", context.DeadlineExceeded, 3},
+		{"certification deadline", context.DeadlineExceeded, -1},
+		{"oracle cancel", context.Canceled, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := newExpiringCtx(tc.cause)
+			q := newPotentialLP(tor, false, Options{Workers: 1})
+			q.form = &expiringSeparator{formulation: q, ctx: ctx, expireRound: tc.expireRound}
+			res, err := q.solve(ctx)
+			if errors.Is(tc.cause, context.Canceled) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("res %v, err %v, want context.Canceled", res, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("err = %v, want a degraded result", err)
+			}
+			if res.Certified || res.Flow == nil {
+				t.Fatalf("certified %v, flow %v: want an uncertified best iterate", res.Certified, res.Flow != nil)
+			}
+			if !strings.Contains(res.Reason, "deadline") {
+				t.Errorf("reason %q does not name the deadline", res.Reason)
+			}
+			if res.GammaWC < 1.0-1e-9 {
+				t.Errorf("degraded gamma_wc = %v below the optimum", res.GammaWC)
+			}
+		})
 	}
 }
 

@@ -255,7 +255,10 @@ func OptimalLocalityAtMaxWorstCaseCtx(ctx context.Context, t *Torus, opts Design
 }
 
 // Design2Turn constructs the 2TURN algorithm (Section 5.2); the stage-2
-// slack is opts.Slack.
+// slack is opts.Slack. A round, simplex or deadline budget that runs out
+// yields an uncertified result with a nil error: Certified is false, Reason
+// names the stage and the cause, and Table is the best iterate's. Check
+// Certified before relying on the table as the optimal design.
 func Design2Turn(t *Torus, opts DesignOptions) (*PathDesignResult, error) {
 	return design.DesignTwoTurn(t, opts)
 }
@@ -266,7 +269,8 @@ func Design2TurnCtx(ctx context.Context, t *Torus, opts DesignOptions) (*PathDes
 }
 
 // Design2TurnA constructs the 2TURNA algorithm (Section 5.4) over a traffic
-// sample; the stage-2 slack is opts.Slack.
+// sample; the stage-2 slack is opts.Slack. Budgets degrade as for
+// Design2Turn: check Certified and Reason.
 func Design2TurnA(t *Torus, samples []*Traffic, opts DesignOptions) (*PathDesignResult, error) {
 	return design.DesignTwoTurnAvg(t, samples, opts)
 }
